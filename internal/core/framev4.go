@@ -30,8 +30,11 @@ import (
 // parallel: workers build and compress frames concurrently while the
 // writer goroutine emits them in canonical shard order, so the output is
 // byte-identical at any worker count and peak memory is bounded by the
-// frames in flight, not the recording. The mirrored reader decodes
-// frames concurrently and applies them in stream order.
+// frames in flight, not the recording. There is one reader:
+// IndexRecording (lazy.go) walks and checks the frame sequence, and
+// EnsureLogs/EnsureCheckpoints decode the retained payloads on a worker
+// pool and parse them (applyFrame, readCheckpointBody) in canonical
+// order. An eager load is that index followed by a full materialization.
 const (
 	recVersionV4 = 4
 
@@ -101,11 +104,9 @@ func encodeFrame(s frameSpec) []byte {
 	return append(frame, body...)
 }
 
-// decodeFramePayload verifies the CRC and undoes the payload encoding.
-func decodeFramePayload(enc uint8, crc uint32, body []byte) ([]byte, error) {
-	if crc32.ChecksumIEEE(body) != crc {
-		return nil, corrupt("frame payload CRC mismatch")
-	}
+// decodeFramePayload undoes a frame's payload encoding. The CRC was
+// checked when IndexRecording retained the frame.
+func decodeFramePayload(enc uint8, body []byte) ([]byte, error) {
 	switch enc {
 	case encRaw:
 		return body, nil
@@ -225,7 +226,7 @@ func (r *Recording) frameSpecs() []frameSpec {
 			p := newPayload()
 			// Frame-level LZ77 replaces v3's inline delta compression, so
 			// the checkpoint body carries its memory delta raw.
-			r.writeCheckpointBody(&p.countingWriter, &r.Checkpoints[idx], false)
+			r.writeCheckpointBody(&p.countingWriter, &r.Checkpoints[idx])
 			return p.bytes()
 		}})
 	}
@@ -317,71 +318,22 @@ func (r *Recording) WriteToParallel(w io.Writer, workers int) (int64, error) {
 	return c.n, c.err
 }
 
-// rawFrame is one frame as read off the wire, before payload decoding.
-type rawFrame struct {
-	kind  uint8
-	shard uint32
-	enc   uint8
-	crc   uint32
-	body  []byte
+// applyFrame parses one decoded log-frame payload into the recording.
+// It is a pure payload parser: IndexRecording has already checked the
+// frame sequence (canonical kind order, contiguous shards, singleton and
+// per-processor counts), so frames arrive here in canonical order.
+// Checkpoint frames are parsed by EnsureCheckpoints.
+func (r *Recording) applyFrame(kind uint8, shard uint32, raw []byte) error {
+	return r.readSection(kind, shard, &reader{r: bytes.NewReader(raw)})
 }
 
-// readFrame reads the next frame. The payload is read in bounded chunks
-// so a lying length cannot demand an absurd up-front allocation.
-func readFrame(d *reader) (rawFrame, error) {
-	var f rawFrame
-	f.kind = d.u8()
-	f.shard = d.u32()
-	f.enc = d.u8()
-	n := d.u32()
-	f.crc = d.u32()
-	if d.err != nil {
-		return f, corrupt("truncated frame header: %v", d.err)
-	}
-	if n > maxFramePayload {
-		return f, corrupt("frame claims %d payload bytes", n)
-	}
-	const chunk = 1 << 20
-	remaining := int(n)
-	f.body = make([]byte, 0, min(remaining, chunk))
-	for remaining > 0 {
-		step := min(remaining, chunk)
-		start := len(f.body)
-		f.body = append(f.body, make([]byte, step)...)
-		d.read(f.body[start:])
-		if d.err != nil {
-			return f, corrupt("truncated frame payload: %v", d.err)
-		}
-		remaining -= step
-	}
-	return f, nil
-}
-
-// applyFrame decodes one frame's payload into the recording. Frames must
-// arrive in canonical order: kinds are non-decreasing across the stream
-// and per-kind shard indices are contiguous, which also rejects
-// duplicates. Both halves matter — shard contiguity alone would accept a
-// stream whose whole sections were reordered (finishV4 only checks
-// section completeness).
-func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
-	if f.kind < seen.lastKind {
-		return corrupt("frame kind %d after kind %d: sections out of canonical order", f.kind, seen.lastKind)
-	}
-	seen.lastKind = f.kind
-	raw, err := decodeFramePayload(f.enc, f.crc, f.body)
-	if err != nil {
-		return err
-	}
-	d := &reader{r: bytes.NewReader(raw)}
-	switch f.kind {
+// readSection parses one log section from d: a v4 frame payload, or the
+// same section inline in a legacy v2/v3 body. Sections arrive in
+// canonical order, so per-processor sections append in processor order;
+// shard only labels errors.
+func (r *Recording) readSection(kind uint8, shard uint32, d *reader) error {
+	switch kind {
 	case frameInitMem:
-		if f.shard != 0 {
-			return corrupt("initial-memory frame with shard %d", f.shard)
-		}
-		if seen.initMem {
-			return corrupt("duplicate initial-memory frame")
-		}
-		seen.initMem = true
 		n := d.u32()
 		r.InitialMem = make(map[uint32]uint64, allocHint(n))
 		for i := uint32(0); i < n && d.err == nil; i++ {
@@ -389,12 +341,6 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			r.InitialMem[a] = d.u64()
 		}
 	case framePI:
-		if f.shard != 0 {
-			return corrupt("PI frame with shard %d", f.shard)
-		}
-		if r.PI != nil {
-			return corrupt("duplicate PI frame")
-		}
 		entries := int(d.u32())
 		buf, bits := d.packed()
 		if d.err == nil {
@@ -405,51 +351,36 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			r.PI = pi
 		}
 	case frameCS:
-		if int(f.shard) != len(r.CS) || len(r.CS) >= r.NProcs {
-			return corrupt("CS frame for shard %d arrived with %d decoded", f.shard, len(r.CS))
-		}
 		_ = d.u32() // entry count (implied by the packed stream)
 		buf, bits := d.packed()
 		if d.err == nil {
 			cs, err := dlog.UnpackCSLog(r.ChunkSize, buf, bits)
 			if err != nil {
-				return corrupt("CS log %d: %v", f.shard, err)
+				return corrupt("CS log %d: %v", shard, err)
 			}
 			r.CS = append(r.CS, cs)
 		}
 	case frameSizes:
-		if r.Mode != OrderSize {
-			return corrupt("size-log frame in mode %d", int(r.Mode))
-		}
-		if int(f.shard) != len(r.Sizes) || len(r.Sizes) >= r.NProcs {
-			return corrupt("size frame for shard %d arrived with %d decoded", f.shard, len(r.Sizes))
-		}
 		count := int(d.u32())
 		buf, bits := d.packed()
 		if d.err == nil {
 			sl, err := dlog.UnpackSizeLog(r.ChunkSize, buf, bits, count)
 			if err != nil {
-				return corrupt("size log %d: %v", f.shard, err)
+				return corrupt("size log %d: %v", shard, err)
 			}
 			r.Sizes = append(r.Sizes, sl)
 		}
 	case frameIntr:
-		if int(f.shard) != len(r.Intr) || len(r.Intr) >= r.NProcs {
-			return corrupt("interrupt frame for shard %d arrived with %d decoded", f.shard, len(r.Intr))
-		}
 		count := int(d.u32())
 		buf, bits := d.packed()
 		if d.err == nil {
 			il, err := dlog.UnpackIntrLog(buf, bits, count)
 			if err != nil {
-				return corrupt("interrupt log %d: %v", f.shard, err)
+				return corrupt("interrupt log %d: %v", shard, err)
 			}
 			r.Intr = append(r.Intr, il)
 		}
 	case frameIO:
-		if int(f.shard) != len(r.IO) || len(r.IO) >= r.NProcs {
-			return corrupt("IO frame for shard %d arrived with %d decoded", f.shard, len(r.IO))
-		}
 		count := int(d.u32())
 		il := &dlog.IOLog{}
 		for i := 0; i < count && d.err == nil; i++ {
@@ -459,13 +390,6 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			r.IO = append(r.IO, il)
 		}
 	case frameDMA:
-		if f.shard != 0 {
-			return corrupt("DMA frame with shard %d", f.shard)
-		}
-		if seen.dma {
-			return corrupt("duplicate DMA frame")
-		}
-		seen.dma = true
 		count := int(d.u32())
 		buf, bits := d.packed()
 		if d.err == nil {
@@ -476,13 +400,6 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			r.DMA = dl
 		}
 	case frameSlots:
-		if f.shard != 0 {
-			return corrupt("slot frame with shard %d", f.shard)
-		}
-		if seen.slots {
-			return corrupt("duplicate slot frame")
-		}
-		seen.slots = true
 		count := int(d.u32())
 		var prev uint64
 		for i := 0; i < count && d.err == nil; i++ {
@@ -491,6 +408,8 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			if d.err != nil {
 				break
 			}
+			// SlotLog.Append panics on disorder; reject untrusted input
+			// with an error instead.
 			if i > 0 && slot <= prev {
 				return corrupt("slot entries out of order at %d", i)
 			}
@@ -500,24 +419,7 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			prev = slot
 			r.Slots.Append(dlog.SlotEntry{Slot: slot, Proc: proc})
 		}
-	case frameCheckpoint:
-		if int(f.shard) != len(r.Checkpoints) {
-			return corrupt("checkpoint frame for shard %d arrived with %d decoded", f.shard, len(r.Checkpoints))
-		}
-		cp, err := r.readCheckpointBody(d, int(f.shard), false)
-		if err != nil {
-			return err
-		}
-		if d.err == nil {
-			r.Checkpoints = append(r.Checkpoints, cp)
-		}
 	case frameStratified:
-		if f.shard != 0 {
-			return corrupt("stratified frame with shard %d", f.shard)
-		}
-		if r.Stratified != nil {
-			return corrupt("duplicate stratified frame")
-		}
 		strata := d.u32()
 		maxChunk := int(d.u16())
 		if d.err == nil && maxChunk < 1 {
@@ -537,175 +439,10 @@ func (r *Recording) applyFrame(f rawFrame, seen *frameProgress) error {
 			r.Stratified = rebuildStratified(r.NProcs, maxChunk, rows)
 		}
 	default:
-		return corrupt("unknown frame kind %d", f.kind)
+		return corrupt("unexpected section kind %d", kind)
 	}
 	if d.err != nil {
-		return corrupt("frame kind %d shard %d truncated: %v", f.kind, f.shard, d.err)
-	}
-	return nil
-}
-
-// validateEndFrame checks the terminator: shard 0, a CRC-clean empty
-// payload. Validating it keeps every byte of the stream covered by
-// either a checked header field or a checksum.
-func validateEndFrame(f rawFrame) error {
-	if f.shard != 0 {
-		return corrupt("end frame with shard %d", f.shard)
-	}
-	raw, err := decodeFramePayload(f.enc, f.crc, f.body)
-	if err != nil {
-		return err
-	}
-	if len(raw) != 0 {
-		return corrupt("end frame carries %d payload bytes", len(raw))
-	}
-	return nil
-}
-
-// frameProgress tracks which singleton frames have been decoded and the
-// highest frame kind applied so far (kinds must be non-decreasing in
-// stream order).
-type frameProgress struct {
-	initMem  bool
-	dma      bool
-	slots    bool
-	lastKind uint8
-}
-
-// finishV4 validates section completeness once the end frame arrives.
-func (r *Recording) finishV4(seen *frameProgress) error {
-	if !seen.initMem {
-		return corrupt("recording has no initial-memory frame")
-	}
-	if !seen.dma {
-		return corrupt("recording has no DMA frame")
-	}
-	if !seen.slots {
-		return corrupt("recording has no slot frame")
-	}
-	if len(r.CS) != r.NProcs {
-		return corrupt("recording has %d CS logs for %d processors", len(r.CS), r.NProcs)
-	}
-	if r.Mode == OrderSize && len(r.Sizes) != r.NProcs {
-		return corrupt("recording has %d size logs for %d processors", len(r.Sizes), r.NProcs)
-	}
-	if len(r.Intr) != r.NProcs || len(r.IO) != r.NProcs {
-		return corrupt("recording has %d interrupt and %d IO logs for %d processors",
-			len(r.Intr), len(r.IO), r.NProcs)
-	}
-	return nil
-}
-
-// readV4 consumes the v4 frame sequence from d. workers sizes the decode
-// pool (0: host default, 1: fully sequential). Frames are decoded
-// concurrently but applied in stream order, so error reporting and the
-// resulting recording are deterministic.
-func (r *Recording) readV4(d *reader, workers int) error {
-	seen := &frameProgress{}
-	nw := runner.Workers(workers)
-	if workers == 1 || nw == 1 {
-		for {
-			f, err := readFrame(d)
-			if err != nil {
-				return err
-			}
-			if f.kind == frameEnd {
-				if err := validateEndFrame(f); err != nil {
-					return err
-				}
-				break
-			}
-			if err := r.applyFrame(f, seen); err != nil {
-				return err
-			}
-		}
-		if err := expectStreamEnd(d); err != nil {
-			return err
-		}
-		return r.finishV4(seen)
-	}
-
-	// Parallel decode mirrors the parallel encode: a reader goroutine
-	// frames the stream and hands payload decoding to the pool; the
-	// consumer applies decoded frames in order. decodeFramePayload does
-	// the CPU-heavy work (CRC + LZ77); applyFrame's unpacking is cheap
-	// and keeps recording mutation single-threaded.
-	type decoded struct {
-		frame rawFrame
-		raw   []byte
-		err   error
-	}
-	futures := make(chan chan decoded, nw)
-	go func() {
-		sem := make(chan struct{}, nw)
-		for {
-			f, err := readFrame(d)
-			ch := make(chan decoded, 1)
-			futures <- ch
-			if err != nil || f.kind == frameEnd {
-				ch <- decoded{frame: f, err: err}
-				break
-			}
-			sem <- struct{}{}
-			go func(f rawFrame, ch chan<- decoded) {
-				defer func() { <-sem }()
-				raw, err := decodeFramePayload(f.enc, f.crc, f.body)
-				ch <- decoded{frame: f, raw: raw, err: err}
-			}(f, ch)
-		}
-		close(futures)
-	}()
-
-	var firstErr error
-	done := false
-	for ch := range futures {
-		dec := <-ch
-		if firstErr != nil || done {
-			continue // drain so the reader goroutine can exit
-		}
-		if dec.err != nil {
-			firstErr = dec.err
-			continue
-		}
-		if dec.frame.kind == frameEnd {
-			if err := validateEndFrame(dec.frame); err != nil {
-				firstErr = err
-			} else {
-				done = true
-			}
-			continue
-		}
-		// The payload is already decoded; re-wrap it so applyFrame's CRC
-		// check is a no-op recompute on the raw bytes.
-		f := dec.frame
-		f.enc = encRaw
-		f.body = dec.raw
-		f.crc = crc32.ChecksumIEEE(dec.raw)
-		if err := r.applyFrame(f, seen); err != nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if !done {
-		return corrupt("recording has no end frame")
-	}
-	// The reader goroutine has exited (futures is closed), so d is safe
-	// to touch again from this goroutine.
-	if err := expectStreamEnd(d); err != nil {
-		return err
-	}
-	return r.finishV4(seen)
-}
-
-// expectStreamEnd rejects bytes after the end frame. Without it, frames
-// spliced in behind the terminator — say a whole section transposed past
-// it — would be silently ignored rather than rejected as corruption.
-func expectStreamEnd(d *reader) error {
-	var b [1]byte
-	if n, _ := io.ReadFull(d.r, b[:]); n != 0 {
-		return corrupt("trailing data after end frame")
+		return corrupt("section kind %d shard %d truncated: %v", kind, shard, d.err)
 	}
 	return nil
 }

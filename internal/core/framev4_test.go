@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 
 	"delorean/internal/device"
@@ -89,40 +90,6 @@ func TestReadRecordingParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestV3WriteStillRoundTrips: the legacy writer's output must load and
-// describe the same recording as the v4 stream (checked by re-encoding
-// the loaded recording as v4 and comparing against the original's v4
-// bytes).
-func TestV3WriteStillRoundTrips(t *testing.T) {
-	for _, mode := range []Mode{OrderSize, OrderOnly, PicoLog} {
-		t.Run(mode.String(), func(t *testing.T) {
-			rec, _, _ := fullFatV4Recording(t, mode)
-			var v4 bytes.Buffer
-			if _, err := rec.WriteTo(&v4); err != nil {
-				t.Fatal(err)
-			}
-			var v3 bytes.Buffer
-			if _, err := rec.WriteToV3(&v3); err != nil {
-				t.Fatalf("WriteToV3: %v", err)
-			}
-			if bytes.Equal(v3.Bytes(), v4.Bytes()) {
-				t.Fatal("v3 and v4 streams are identical; version switch is not wired")
-			}
-			got, err := ReadRecording(bytes.NewReader(v3.Bytes()))
-			if err != nil {
-				t.Fatalf("loading v3 stream: %v", err)
-			}
-			var re bytes.Buffer
-			if _, err := got.WriteTo(&re); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(re.Bytes(), v4.Bytes()) {
-				t.Fatal("recording loaded from v3 re-encodes to different v4 bytes")
-			}
-		})
-	}
-}
-
 // v4CommonHeaderLen returns the byte offset where the frame sequence
 // starts: magic, version, mode, nprocs, chunk size, fingerprints, chain
 // digests, and stats words.
@@ -160,7 +127,7 @@ func TestV4RejectsCorruptFrames(t *testing.T) {
 }
 
 // TestV4RejectsTruncation: every proper prefix of a v4 stream must be
-// rejected as corrupt, in both the sequential and parallel readers.
+// rejected as corrupt, at every decode worker count.
 func TestV4RejectsTruncation(t *testing.T) {
 	rec, _, _ := fullFatV4Recording(t, PicoLog)
 	var wire bytes.Buffer
@@ -236,7 +203,7 @@ func spliceV4(header []byte, frames []v4Frame) []byte {
 
 // TestV4RejectsDuplicateShard: replaying any frame a second time —
 // singleton kinds and per-processor/per-checkpoint shards alike — must
-// surface as ErrCorruptLog in both readers. Every frame is individually
+// surface as ErrCorruptLog at every decode worker count. Every frame is individually
 // CRC-clean, so only the duplicate checks and shard-contiguity checks
 // stand between a spliced stream and silent acceptance.
 func TestV4RejectsDuplicateShard(t *testing.T) {
@@ -273,7 +240,7 @@ func TestV4RejectsDuplicateShard(t *testing.T) {
 // kinds breaks the canonical section order and must surface as
 // ErrCorruptLog. This is the gap shard contiguity alone leaves open:
 // whole singleton sections (say DMA and Slots) can trade places with
-// every per-kind check still passing, and finishV4 only verifies section
+// every per-kind check still passing, and the section counts only verify
 // presence — only the non-decreasing-kind check catches it.
 func TestV4RejectsOutOfOrderKinds(t *testing.T) {
 	rec, _, _ := fullFatV4Recording(t, OrderOnly)
@@ -328,6 +295,64 @@ func TestV4ParallelLoadSurfacesCorruption(t *testing.T) {
 		}
 		if !errors.Is(err, ErrCorruptLog) {
 			t.Fatalf("parallel reader error %v is not ErrCorruptLog", err)
+		}
+	}
+}
+
+// TestV4RejectsFramingViolations: framing rules that no other test
+// reaches — a second singleton frame whose shard index keeps the
+// per-kind sequence contiguous, and an end frame that is empty only
+// once decoded — must surface as ErrCorruptLog at every decode worker
+// count.
+func TestV4RejectsFramingViolations(t *testing.T) {
+	rec, _, _ := fullFatV4Recording(t, OrderOnly)
+	var wire bytes.Buffer
+	if _, err := rec.WriteTo(&wire); err != nil {
+		t.Fatal(err)
+	}
+	header, frames := parseV4Frames(t, wire.Bytes(), rec.NProcs)
+	// withSecond inserts a copy of the kind's frame as shard 1 right
+	// after it. The shard index is outside the payload CRC, so the copy
+	// is CRC-clean.
+	withSecond := func(kind uint8) []v4Frame {
+		for i, f := range frames {
+			if f.kind != kind {
+				continue
+			}
+			dup := v4Frame{kind: kind, shard: 1, raw: bytes.Clone(f.raw)}
+			binary.LittleEndian.PutUint32(dup.raw[1:5], 1)
+			out := append(append([]v4Frame(nil), frames[:i+1]...), dup)
+			return append(out, frames[i+1:]...)
+		}
+		t.Fatalf("recording has no frame of kind %d", kind)
+		return nil
+	}
+	// An LZ77 payload that decodes to zero bytes: rawLen 0, bitLen 0.
+	lzEmpty := make([]byte, 8)
+	lzEnd := make([]byte, frameHeaderLen, frameHeaderLen+len(lzEmpty))
+	lzEnd[0] = frameEnd
+	lzEnd[5] = encLZ77
+	binary.LittleEndian.PutUint32(lzEnd[6:10], uint32(len(lzEmpty)))
+	binary.LittleEndian.PutUint32(lzEnd[10:14], crc32.ChecksumIEEE(lzEmpty))
+	lzEnd = append(lzEnd, lzEmpty...)
+	withLZEnd := append(append([]v4Frame(nil), frames[:len(frames)-1]...),
+		v4Frame{kind: frameEnd, raw: lzEnd})
+
+	cases := map[string][]v4Frame{
+		"second PI frame":         withSecond(framePI),
+		"second stratified frame": withSecond(frameStratified),
+		"LZ77 empty end frame":    withLZEnd,
+	}
+	for name, mut := range cases {
+		data := spliceV4(header, mut)
+		for _, workers := range []int{1, 4} {
+			_, err := ReadRecordingParallel(bytes.NewReader(data), workers)
+			if !errors.Is(err, ErrCorruptLog) {
+				t.Fatalf("%s (workers=%d): error %v, want ErrCorruptLog", name, workers, err)
+			}
+		}
+		if _, err := IndexRecording(data); !errors.Is(err, ErrCorruptLog) {
+			t.Fatalf("%s: IndexRecording error %v, want ErrCorruptLog", name, err)
 		}
 	}
 }

@@ -23,26 +23,28 @@ import (
 // acquisition order is lzMu -> ckMu -> matMu (EnsureLogs holds lzMu
 // while Validate takes ckMu; ReleaseLogs takes all three).
 
-// lazyFrame is one retained v4 frame: header fields plus the encoded
-// payload, which aliases the container bytes handed to IndexRecording.
+// lazyFrame is one retained, CRC-checked v4 frame: header fields plus
+// the encoded payload, which aliases the container bytes handed to
+// IndexRecording.
 type lazyFrame struct {
-	kind   uint8
-	shard  uint32
-	enc    uint8
-	crc    uint32
-	body   []byte
-	rawLen int
+	kind  uint8
+	shard uint32
+	enc   uint8
+	body  []byte
 }
 
 // IndexRecording parses a v4 container from data without decoding it:
 // the header is read, every frame header is validated (kind order,
-// shard contiguity, encoding, length) and every payload CRC-checked,
-// but payloads stay compressed, retained as subslices of data. The
-// returned recording materializes sections on demand — callers must not
-// mutate data while the recording is alive.
+// shard contiguity, section counts, encoding, length) and every payload
+// CRC-checked, but payloads stay compressed, retained as subslices of
+// data. The returned recording materializes sections on demand —
+// callers must not mutate data while the recording is alive.
+//
+// This is the only v4 frame reader: every framing rule lives here, and
+// ReadRecording is this index followed by a full materialization.
 //
 // v2/v3 containers have no frame structure to index; they decode
-// eagerly, exactly as ReadRecording would.
+// eagerly through the legacy reader.
 func IndexRecording(data []byte) (*Recording, error) {
 	br := bytes.NewReader(data)
 	d := &reader{r: br}
@@ -51,7 +53,7 @@ func IndexRecording(data []byte) (*Recording, error) {
 		return nil, err
 	}
 	if version != recVersionV4 {
-		return ReadRecordingParallel(bytes.NewReader(data), 0)
+		return readLegacy(d, r, version)
 	}
 	off := int(br.Size()) - br.Len()
 
@@ -67,9 +69,9 @@ func IndexRecording(data []byte) (*Recording, error) {
 			kind:  data[off],
 			shard: binary.LittleEndian.Uint32(data[off+1 : off+5]),
 			enc:   data[off+5],
-			crc:   binary.LittleEndian.Uint32(data[off+10 : off+14]),
 		}
 		n := binary.LittleEndian.Uint32(data[off+6 : off+10])
+		crc := binary.LittleEndian.Uint32(data[off+10 : off+14])
 		off += frameHeaderLen
 		if n > maxFramePayload {
 			return nil, corrupt("frame claims %d payload bytes", n)
@@ -79,7 +81,7 @@ func IndexRecording(data []byte) (*Recording, error) {
 		}
 		f.body = data[off : off+int(n) : off+int(n)]
 		off += int(n)
-		if crc32.ChecksumIEEE(f.body) != f.crc {
+		if crc32.ChecksumIEEE(f.body) != crc {
 			return nil, corrupt("frame payload CRC mismatch")
 		}
 		if f.kind < frameInitMem || f.kind > frameEnd {
@@ -93,19 +95,20 @@ func IndexRecording(data []byte) (*Recording, error) {
 			return nil, corrupt("frame kind %d shard %d arrived with %d indexed", f.kind, f.shard, counts[f.kind])
 		}
 		counts[f.kind]++
+		var rawLen int
 		switch f.enc {
 		case encRaw:
-			f.rawLen = len(f.body)
+			rawLen = len(f.body)
 		case encLZ77:
 			if len(f.body) < 8 {
 				return nil, corrupt("LZ77 frame too short for its header")
 			}
-			f.rawLen = int(binary.LittleEndian.Uint32(f.body[0:4]))
+			rawLen = int(binary.LittleEndian.Uint32(f.body[0:4]))
 		default:
 			return nil, corrupt("unknown frame encoding %d", f.enc)
 		}
 		if f.kind == frameEnd {
-			if len(f.body) != 0 || f.rawLen != 0 {
+			if len(f.body) != 0 {
 				return nil, corrupt("end frame carries %d payload bytes", len(f.body))
 			}
 			if off != len(data) {
@@ -113,7 +116,7 @@ func IndexRecording(data []byte) (*Recording, error) {
 			}
 			break
 		}
-		est += int64(f.rawLen)
+		est += int64(rawLen)
 		if f.kind == frameCheckpoint {
 			ckFrames = append(ckFrames, f)
 		} else {
@@ -121,12 +124,16 @@ func IndexRecording(data []byte) (*Recording, error) {
 		}
 	}
 
-	// Section completeness, mirroring finishV4 — an index pass must
-	// reject a container a full load would reject, so lazily served
-	// recordings fail at index time, not mid-replay.
+	// Section counts: every framing rule is decided here, so a lazily
+	// served recording fails at index time, not mid-replay, and
+	// applyFrame can parse payloads without tracking the sequence.
 	if counts[frameInitMem] != 1 || counts[frameDMA] != 1 || counts[frameSlots] != 1 {
 		return nil, corrupt("recording missing a singleton frame (init-mem %d, DMA %d, slots %d)",
 			counts[frameInitMem], counts[frameDMA], counts[frameSlots])
+	}
+	if counts[framePI] > 1 || counts[frameStratified] > 1 {
+		return nil, corrupt("recording has %d PI and %d stratified frames, want at most one each",
+			counts[framePI], counts[frameStratified])
 	}
 	if int(counts[frameCS]) != r.NProcs {
 		return nil, corrupt("recording has %d CS logs for %d processors", counts[frameCS], r.NProcs)
@@ -155,14 +162,6 @@ func IndexRecording(data []byte) (*Recording, error) {
 	return r, nil
 }
 
-// decodeLazyFrames decodes retained frame payloads, fanning the
-// CPU-heavy LZ77/CRC work across workers (0: host default, 1: inline).
-func decodeLazyFrames(frames []lazyFrame, workers int) ([][]byte, error) {
-	return runner.Map(workers, len(frames), func(i int) ([]byte, error) {
-		return decodeFramePayload(frames[i].enc, frames[i].crc, frames[i].body)
-	})
-}
-
 // EnsureLogs materializes the log section (everything but checkpoints)
 // of a lazily indexed recording. It is a no-op on an eagerly loaded
 // recording or once materialization succeeded; a decode failure is
@@ -181,26 +180,16 @@ func (r *Recording) ensureLogsLocked(workers int) error {
 	if r.logErr != nil {
 		return r.logErr
 	}
-	raws, err := decodeLazyFrames(r.logLazy, workers)
+	// Decompression fans out across workers; parsing appends to the
+	// recording, so it runs in canonical frame order.
+	raws, err := runner.Map(workers, len(r.logLazy), func(i int) ([]byte, error) {
+		return decodeFramePayload(r.logLazy[i].enc, r.logLazy[i].body)
+	})
 	if err == nil {
-		// Apply in canonical order with a fresh progress tracker; the
-		// re-wrap makes applyFrame's CRC check a no-op recompute on the
-		// raw bytes, same as the parallel v4 reader.
-		seen := &frameProgress{}
-		for i := range r.logLazy {
-			f := rawFrame{
-				kind:  r.logLazy[i].kind,
-				shard: r.logLazy[i].shard,
-				enc:   encRaw,
-				body:  raws[i],
-				crc:   crc32.ChecksumIEEE(raws[i]),
-			}
-			if err = r.applyFrame(f, seen); err != nil {
+		for i, f := range r.logLazy {
+			if err = r.applyFrame(f.kind, f.shard, raws[i]); err != nil {
 				break
 			}
-		}
-		if err == nil {
-			err = r.finishV4(seen)
 		}
 		if err == nil {
 			// The checkpoint gate in Validate skips the still-lazy
@@ -232,28 +221,25 @@ func (r *Recording) EnsureCheckpoints(workers int) error {
 	if r.ckErr != nil {
 		return r.ckErr
 	}
-	raws, err := decodeLazyFrames(r.ckLazy, workers)
+	// Each worker decodes and parses whole frames, so a frame's raw
+	// payload is garbage as soon as its checkpoint is built.
+	cps, err := runner.Map(workers, len(r.ckLazy), func(i int) (IntervalCheckpoint, error) {
+		raw, err := decodeFramePayload(r.ckLazy[i].enc, r.ckLazy[i].body)
+		if err != nil {
+			return IntervalCheckpoint{}, err
+		}
+		d := &reader{r: bytes.NewReader(raw)}
+		cp, err := r.readCheckpointBody(d, i, false)
+		if err == nil && d.err != nil {
+			err = corrupt("checkpoint frame %d truncated: %v", i, d.err)
+		}
+		return cp, err
+	})
 	if err == nil {
-		cps := make([]IntervalCheckpoint, 0, len(r.ckLazy))
-		for i, raw := range raws {
-			d := &reader{r: bytes.NewReader(raw)}
-			cp, cerr := r.readCheckpointBody(d, i, false)
-			if cerr != nil {
-				err = cerr
-				break
-			}
-			if d.err != nil {
-				err = corrupt("checkpoint frame %d truncated: %v", i, d.err)
-				break
-			}
-			cps = append(cps, cp)
-		}
-		if err == nil {
-			err = r.validateCheckpoints(cps)
-		}
-		if err == nil {
-			r.Checkpoints = cps
-		}
+		err = r.validateCheckpoints(cps)
+	}
+	if err == nil {
+		r.Checkpoints = cps
 	}
 	if err != nil {
 		r.Checkpoints = nil
@@ -277,6 +263,13 @@ func (r *Recording) resetDecodedLogsLocked() {
 	r.IO = nil
 	r.DMA = &dlog.DMALog{}
 	r.Slots = &dlog.SlotLog{}
+}
+
+// detach drops the retained frames of a fully materialized recording, so
+// it holds no container bytes and behaves as an eagerly loaded one:
+// Materialized, a zero size estimate, and a no-op ReleaseLogs.
+func (r *Recording) detach() {
+	r.logLazy, r.ckLazy, r.sizeEst = nil, nil, 0
 }
 
 // ReleaseLogs evicts a lazily indexed recording's materialized state —

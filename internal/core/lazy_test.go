@@ -3,7 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
-	"hash/crc32"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -173,8 +174,9 @@ func TestIndexRecordingCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("IndexRecording: %v", err)
 		}
-		// Sabotage a retained frame body after indexing, recomputing the
-		// CRC so only the decode can notice. Pick the largest LZ77 frame.
+		// Sabotage a retained frame body after indexing: the CRC was
+		// checked at index time, so only the decode can notice. Pick the
+		// largest LZ77 frame.
 		var victim *lazyFrame
 		for i := range lazy.logLazy {
 			f := &lazy.logLazy[i]
@@ -187,7 +189,6 @@ func TestIndexRecordingCorruption(t *testing.T) {
 		}
 		victim.body = bytes.Clone(victim.body)
 		victim.body[10] ^= 0xFF
-		victim.crc = crc32.ChecksumIEEE(victim.body)
 		if _, err := replay(lazy); !errors.Is(err, ErrCorruptLog) {
 			t.Fatalf("replay of sabotaged frame = %v, want ErrCorruptLog", err)
 		}
@@ -200,12 +201,12 @@ func TestIndexRecordingCorruption(t *testing.T) {
 // TestIndexRecordingV3Fallback: pre-v4 containers have no frames to
 // index and decode eagerly.
 func TestIndexRecordingV3Fallback(t *testing.T) {
-	rec, cfg, progs := fullFatV4Recording(t, OrderOnly)
-	var v3 bytes.Buffer
-	if _, err := rec.WriteToV3(&v3); err != nil {
-		t.Fatalf("WriteToV3: %v", err)
+	rec, progs, cfg := goldenRecording(t)
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_v3.dlrn"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	lazy, err := IndexRecording(v3.Bytes())
+	lazy, err := IndexRecording(data)
 	if err != nil {
 		t.Fatalf("IndexRecording(v3): %v", err)
 	}
@@ -266,5 +267,62 @@ func TestIndexRecordingConcurrentMaterialize(t *testing.T) {
 		if keyOf(got[i]) != keyOf(want) {
 			t.Fatalf("goroutine %d verdict differs:\n got %+v\nwant %+v", i, got[i], want)
 		}
+	}
+}
+
+// TestEagerLoadDetached: an eager load is an index plus a full
+// materialization, detached from the container bytes afterwards. The
+// result must behave as eagerly loaded (materialized, zero size
+// estimate, Release a no-op) and share no memory with the container:
+// scribbling over the indexed bytes after the load leaves the decoded
+// recording untouched.
+func TestEagerLoadDetached(t *testing.T) {
+	rec, _, _ := fullFatV4Recording(t, OrderSize)
+	var wire bytes.Buffer
+	if _, err := rec.WriteTo(&wire); err != nil {
+		t.Fatal(err)
+	}
+	reencode := func(r *Recording) []byte {
+		var buf bytes.Buffer
+		if _, err := r.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, workers := range []int{1, 4} {
+		eager, err := ReadRecordingParallel(bytes.NewReader(wire.Bytes()), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !eager.Materialized() || eager.MaterializedSizeEstimate() != 0 {
+			t.Fatalf("workers=%d: eager load reports materialized=%v estimate=%d",
+				workers, eager.Materialized(), eager.MaterializedSizeEstimate())
+		}
+		if eager.logLazy != nil || eager.ckLazy != nil {
+			t.Fatalf("workers=%d: eager load retains container frames", workers)
+		}
+		eager.ReleaseLogs()
+		if !eager.Materialized() || eager.CS == nil || len(eager.Checkpoints) != len(rec.Checkpoints) {
+			t.Fatalf("workers=%d: ReleaseLogs dropped an eager recording's sections", workers)
+		}
+		if !bytes.Equal(reencode(eager), wire.Bytes()) {
+			t.Fatalf("workers=%d: eager load re-encodes differently", workers)
+		}
+	}
+
+	data := bytes.Clone(wire.Bytes())
+	r, err := IndexRecording(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.EnsureCheckpoints(4); err != nil {
+		t.Fatal(err)
+	}
+	r.detach()
+	for i := range data {
+		data[i] = 0xA5
+	}
+	if !bytes.Equal(reencode(r), wire.Bytes()) {
+		t.Fatal("decoded recording aliases the container bytes")
 	}
 }

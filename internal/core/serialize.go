@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -44,8 +44,9 @@ func rebuildStratified(nprocs, maxChunk int, rows [][]int) *stratifier.Stratifie
 // checkpoint section so serialized recordings replay segmented. v4
 // (framev4.go) keeps the v3 header through the stats words but frames
 // every log shard independently (CRC-checked, individually compressed
-// frames) so save and load pipeline across workers. WriteTo emits v4;
-// WriteToV3 keeps the legacy layout, and v2/v3/v4 files all load.
+// frames) so save and load spread across workers. The layout above is
+// the legacy v2/v3 body, which is read-only: WriteTo emits v4, and
+// v2/v3/v4 files all load.
 const (
 	recMagic   = "DLRN"
 	recVersion = 3
@@ -100,118 +101,6 @@ func (r *Recording) WriteTo(w io.Writer) (int64, error) {
 	return r.WriteToParallel(w, 0)
 }
 
-// WriteToV3 serializes the recording in the legacy v3 layout, kept so
-// compatibility tests can regenerate v3 fixtures and older readers stay
-// servable.
-func (r *Recording) WriteToV3(w io.Writer) (int64, error) {
-	// A lazily loaded recording decodes its checkpoint section before
-	// serialization walks it.
-	if err := r.EnsureCheckpoints(0); err != nil {
-		return 0, err
-	}
-	bw := bufio.NewWriter(w)
-	c := &countingWriter{w: bw}
-
-	c.write([]byte(recMagic))
-	c.u16(recVersion)
-	c.u8(uint8(r.Mode))
-	c.u16(uint16(r.NProcs))
-	c.u32(uint32(r.ChunkSize))
-	c.u64(r.Fingerprint)
-	c.u64(r.FinalMemHash)
-	for p := 0; p < r.NProcs; p++ {
-		var ch uint64
-		if p < len(r.ProcChains) {
-			ch = r.ProcChains[p]
-		}
-		c.u64(ch)
-	}
-	c.u64(r.Stats.Insts)
-	c.u64(r.Stats.Chunks)
-	c.u64(r.Stats.Cycles)
-
-	// Initial memory, canonical order.
-	addrs := make([]uint32, 0, len(r.InitialMem))
-	for a := range r.InitialMem {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	c.u32(uint32(len(addrs)))
-	for _, a := range addrs {
-		c.u32(a)
-		c.u64(r.InitialMem[a])
-	}
-
-	// PI log.
-	if r.PI != nil {
-		c.u8(1)
-		c.u32(uint32(r.PI.Len()))
-		buf, bits := r.PI.Pack()
-		c.packed(buf, bits)
-	} else {
-		c.u8(0)
-	}
-
-	for p := 0; p < r.NProcs; p++ {
-		c.u32(uint32(r.CS[p].Len()))
-		buf, bits := r.CS[p].Pack()
-		c.packed(buf, bits)
-	}
-	if r.Mode == OrderSize {
-		for p := 0; p < r.NProcs; p++ {
-			c.u32(uint32(r.Sizes[p].Len()))
-			buf, bits := r.Sizes[p].Pack()
-			c.packed(buf, bits)
-		}
-	}
-	for p := 0; p < r.NProcs; p++ {
-		c.u32(uint32(r.Intr[p].Len()))
-		buf, bits := r.Intr[p].Pack()
-		c.packed(buf, bits)
-	}
-	for p := 0; p < r.NProcs; p++ {
-		vals := r.IO[p].Values()
-		c.u32(uint32(len(vals)))
-		for _, v := range vals {
-			c.u64(v)
-		}
-	}
-	c.u32(uint32(r.DMA.Len()))
-	buf, bits := r.DMA.Pack()
-	c.packed(buf, bits)
-
-	// Slot log (PicoLog urgent commits): stored as explicit pairs.
-	slots := r.Slots.Entries()
-	c.u32(uint32(len(slots)))
-	for _, e := range slots {
-		c.u64(e.Slot)
-		c.u16(uint16(e.Proc))
-	}
-
-	r.writeCheckpoints(c)
-
-	// Stratified log: stored as explicit counters (it is small).
-	if r.Stratified != nil {
-		c.u8(1)
-		c.u32(uint32(r.Stratified.Len()))
-		// max chunks/stratum recoverable from counter bits is ambiguous;
-		// store it.
-		c.u16(uint16(1)<<uint(r.Stratified.CounterBits()) - 1)
-		for _, row := range r.Stratified.Strata() {
-			for _, v := range row {
-				c.u16(uint16(v))
-			}
-		}
-	} else {
-		c.u8(0)
-	}
-
-	if c.err == nil {
-		c.err = bw.Flush()
-	}
-	return c.n, c.err
-}
-
 // Checkpoint flag bits (one byte per processor state).
 const (
 	cpHalted      = 1 << 0
@@ -222,22 +111,12 @@ const (
 	cpPendUrgent  = 1 << 5
 )
 
-// writeCheckpoints appends the v3 checkpoint section: everything
-// segmented replay needs to partition the recording. Memory images are
-// stored as the engine's deltas — only the words that changed during
-// the interval — which LZ77 then squeezes further; a full image per
+// writeCheckpointBody serializes one checkpoint: everything segmented
+// replay needs to resume at its cut. Memory images are stored as the
+// engine's deltas — only the words that changed during the interval —
+// which the frame's LZ77 then squeezes further; a full image per
 // checkpoint would duplicate the entire footprint at every cut.
-func (r *Recording) writeCheckpoints(c *countingWriter) {
-	c.u32(uint32(len(r.Checkpoints)))
-	for i := range r.Checkpoints {
-		r.writeCheckpointBody(c, &r.Checkpoints[i], true)
-	}
-}
-
-// writeCheckpointBody serializes one checkpoint. compressDelta selects
-// v3's inline LZ77 for the memory-delta pair stream; the v4 frame writer
-// passes false because the whole frame is compressed as one unit.
-func (r *Recording) writeCheckpointBody(c *countingWriter, cp *IntervalCheckpoint, compressDelta bool) {
+func (r *Recording) writeCheckpointBody(c *countingWriter, cp *IntervalCheckpoint) {
 	c.u64(cp.Slot)
 	c.u16(uint16(cp.TokenAt + 1)) // -1 (unordered) encodes as 0
 	c.u64(cp.Fingerprint)
@@ -296,7 +175,7 @@ func (r *Recording) writeCheckpointBody(c *countingWriter, cp *IntervalCheckpoin
 
 	// Memory delta: canonical address order. Interval write
 	// footprints revisit the same working set, so the pair stream
-	// compresses well under LZ77 (inline for v3, frame-level for v4).
+	// compresses well under the frame's LZ77.
 	addrs := make([]uint32, 0, len(cp.MemDelta))
 	for a := range cp.MemDelta {
 		addrs = append(addrs, a)
@@ -310,13 +189,8 @@ func (r *Recording) writeCheckpointBody(c *countingWriter, cp *IntervalCheckpoin
 		raw = append(raw, pair[:]...)
 	}
 	c.u32(uint32(len(addrs)))
-	if compressDelta {
-		packed, bits := lz77.Compress(raw)
-		c.packed(packed, bits)
-	} else {
-		c.u32(uint32(len(raw)))
-		c.write(raw)
-	}
+	c.u32(uint32(len(raw)))
+	c.write(raw)
 }
 
 // readCheckpoints parses the v3 checkpoint section.
@@ -336,9 +210,9 @@ func (r *Recording) readCheckpoints(d *reader) error {
 }
 
 // readCheckpointBody parses one checkpoint, mirroring writeCheckpointBody.
-// compressDelta selects v3's inline LZ77 memory-delta encoding; v4 frames
-// pass false and carry the delta as raw bytes (the frame codec compresses
-// the whole payload).
+// compressDelta selects the legacy v3 inline LZ77 memory-delta encoding;
+// v4 frames pass false and carry the delta as raw bytes (the frame codec
+// compresses the whole payload).
 func (r *Recording) readCheckpointBody(d *reader, i int, compressDelta bool) (IntervalCheckpoint, error) {
 	var cp IntervalCheckpoint
 	cp.Slot = d.u64()
@@ -403,27 +277,9 @@ func (r *Recording) readCheckpointBody(d *reader, i int, compressDelta bool) (In
 			return cp, corrupt("checkpoint %d memory delta: %v", i, err)
 		}
 	} else {
-		rawLen := d.u32()
+		raw = d.bytes(int(d.u32()))
 		if d.err != nil {
 			return cp, nil
-		}
-		if rawLen > maxFramePayload {
-			return cp, corrupt("checkpoint %d memory delta claims %d bytes", i, rawLen)
-		}
-		// Chunked read: a lying length costs at most one chunk of
-		// allocation before the underlying reader runs dry.
-		raw = make([]byte, 0, 12*allocHint(words))
-		for len(raw) < int(rawLen) && d.err == nil {
-			n := int(rawLen) - len(raw)
-			if n > 1<<20 {
-				n = 1 << 20
-			}
-			chunk := make([]byte, n)
-			d.read(chunk)
-			if d.err != nil {
-				return cp, nil
-			}
-			raw = append(raw, chunk...)
 		}
 	}
 	if len(raw) != 12*int(words) {
@@ -437,8 +293,10 @@ func (r *Recording) readCheckpointBody(d *reader, i int, compressDelta bool) (In
 	return cp, nil
 }
 
+// reader decodes little-endian fields from an in-memory container or
+// frame payload. The first failed read sticks in err.
 type reader struct {
-	r   io.Reader
+	r   *bytes.Reader
 	err error
 }
 
@@ -454,17 +312,23 @@ func (d *reader) u16() uint16 { var b [2]byte; d.read(b[:]); return binary.Littl
 func (d *reader) u32() uint32 { var b [4]byte; d.read(b[:]); return binary.LittleEndian.Uint32(b[:]) }
 func (d *reader) u64() uint64 { var b [8]byte; d.read(b[:]); return binary.LittleEndian.Uint64(b[:]) }
 
+// bytes reads n bytes. A length beyond what is left fails before
+// allocating, so a lying length field cannot demand a huge buffer.
+func (d *reader) bytes(n int) []byte {
+	if d.err == nil && n > d.r.Len() {
+		d.err = fmt.Errorf("%d bytes declared, %d left: %w", n, d.r.Len(), io.ErrUnexpectedEOF)
+	}
+	if d.err != nil {
+		return nil
+	}
+	buf := make([]byte, n)
+	d.read(buf)
+	return buf
+}
+
 func (d *reader) packed() ([]byte, int) {
 	bits := int(d.u32())
-	if d.err != nil || bits < 0 || bits > 1<<34 {
-		if d.err == nil {
-			d.err = fmt.Errorf("implausible packed length %d bits", bits)
-		}
-		return nil, 0
-	}
-	buf := make([]byte, (bits+7)/8)
-	d.read(buf)
-	return buf, bits
+	return d.bytes((bits + 7) / 8), bits
 }
 
 // allocHint clamps an untrusted element count to a sane pre-allocation
@@ -488,8 +352,7 @@ func ReadRecording(src io.Reader) (*Recording, error) {
 
 // readHeader parses the common container header — magic through the
 // stats words, identical across v2/v3/v4 — returning a recording with
-// only the header fields populated plus the container version. Shared
-// by the full readers and the v4 index pass (IndexRecording).
+// only the header fields populated plus the container version.
 func readHeader(d *reader) (*Recording, uint16, error) {
 	var magic [4]byte
 	d.read(magic[:])
@@ -537,152 +400,65 @@ func readHeader(d *reader) (*Recording, uint16, error) {
 
 // ReadRecordingParallel is ReadRecording with an explicit decode worker
 // count for v4 recordings (0: host default, 1: fully sequential; v2/v3
-// always decode sequentially). The resulting recording is identical at
-// any worker count.
+// always decode sequentially). It reads all of src, indexes it
+// (IndexRecording), materializes every section and detaches the result
+// from the container bytes, so the recording is identical at any worker
+// count and retains nothing of src.
 func ReadRecordingParallel(src io.Reader, workers int) (*Recording, error) {
-	d := &reader{r: bufio.NewReader(src)}
-	r, version, err := readHeader(d)
+	// In-memory sources report their size; reading into one exact
+	// allocation spares io.ReadAll's doubling copies.
+	var buf bytes.Buffer
+	if sized, ok := src.(interface{ Len() int }); ok {
+		buf.Grow(sized.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(src); err != nil {
+		return nil, corrupt("reading recording: %v", err)
+	}
+	r, err := IndexRecording(buf.Bytes())
 	if err != nil {
 		return nil, err
 	}
-
-	// The common header ends at the stats words; v4 switches to the
-	// framed shard layout from here.
-	if version == recVersionV4 {
-		if err := r.readV4(d, workers); err != nil {
-			return nil, err
-		}
-		if err := r.Validate(); err != nil {
-			return nil, err
-		}
-		return r, nil
+	if err := r.EnsureCheckpoints(workers); err != nil {
+		return nil, err
 	}
+	r.detach()
+	return r, nil
+}
 
-	n := d.u32()
-	r.InitialMem = make(map[uint32]uint64, allocHint(n))
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		a := d.u32()
-		r.InitialMem[a] = d.u64()
+// readLegacy decodes the body of a v2/v3 container, which carries no
+// frame structure; d is positioned just past the common header. The body
+// holds v4's log sections inline, in the same order and encoding, so
+// readSection parses each one. Presence bytes precede the optional PI
+// and stratified logs, and v3 puts its checkpoint section (inline-LZ77
+// memory deltas) between the slot and stratified logs.
+func readLegacy(d *reader, r *Recording, version uint16) (*Recording, error) {
+	var err error
+	sections := func(kind uint8, shards int) {
+		for s := 0; s < shards && err == nil; s++ {
+			err = r.readSection(kind, uint32(s), d)
+		}
 	}
-
+	sections(frameInitMem, 1)
 	if d.u8() == 1 {
-		entries := int(d.u32())
-		buf, bits := d.packed()
-		if d.err == nil {
-			pi, err := dlog.UnpackPILog(r.NProcs, buf, bits, entries)
-			if err != nil {
-				return nil, corrupt("PI log: %v", err)
-			}
-			r.PI = pi
-		}
+		sections(framePI, 1)
 	}
-
-	for p := 0; p < r.NProcs && d.err == nil; p++ {
-		_ = d.u32() // entry count (implied by the packed stream)
-		buf, bits := d.packed()
-		if d.err != nil {
-			break
-		}
-		cs, err := dlog.UnpackCSLog(r.ChunkSize, buf, bits)
-		if err != nil {
-			return nil, corrupt("CS log %d: %v", p, err)
-		}
-		r.CS = append(r.CS, cs)
-	}
+	sections(frameCS, r.NProcs)
 	if r.Mode == OrderSize {
-		for p := 0; p < r.NProcs && d.err == nil; p++ {
-			count := int(d.u32())
-			buf, bits := d.packed()
-			if d.err != nil {
-				break
-			}
-			sl, err := dlog.UnpackSizeLog(r.ChunkSize, buf, bits, count)
-			if err != nil {
-				return nil, corrupt("size log %d: %v", p, err)
-			}
-			r.Sizes = append(r.Sizes, sl)
-		}
+		sections(frameSizes, r.NProcs)
 	}
-	for p := 0; p < r.NProcs && d.err == nil; p++ {
-		count := int(d.u32())
-		buf, bits := d.packed()
-		if d.err != nil {
-			break
-		}
-		il, err := dlog.UnpackIntrLog(buf, bits, count)
-		if err != nil {
-			return nil, corrupt("interrupt log %d: %v", p, err)
-		}
-		r.Intr = append(r.Intr, il)
+	sections(frameIntr, r.NProcs)
+	sections(frameIO, r.NProcs)
+	sections(frameDMA, 1)
+	sections(frameSlots, 1)
+	if err == nil && version >= 3 {
+		err = r.readCheckpoints(d)
 	}
-	for p := 0; p < r.NProcs && d.err == nil; p++ {
-		count := int(d.u32())
-		il := &dlog.IOLog{}
-		for i := 0; i < count && d.err == nil; i++ {
-			il.Append(d.u64())
-		}
-		r.IO = append(r.IO, il)
+	if err == nil && d.u8() == 1 {
+		sections(frameStratified, 1)
 	}
-	{
-		count := int(d.u32())
-		buf, bits := d.packed()
-		if d.err == nil {
-			dl, err := dlog.UnpackDMALog(buf, bits, count)
-			if err != nil {
-				return nil, corrupt("DMA log: %v", err)
-			}
-			r.DMA = dl
-		}
+	if err != nil {
+		return nil, err
 	}
-	{
-		count := int(d.u32())
-		var prev uint64
-		for i := 0; i < count && d.err == nil; i++ {
-			slot := d.u64()
-			proc := int(d.u16())
-			if d.err != nil {
-				break
-			}
-			// SlotLog.Append panics on disorder; reject untrusted input
-			// with an error instead.
-			if i > 0 && slot <= prev {
-				return nil, corrupt("slot entries out of order at %d", i)
-			}
-			if proc < 0 || proc >= r.NProcs {
-				return nil, corrupt("slot entry %d names processor %d of %d", i, proc, r.NProcs)
-			}
-			prev = slot
-			r.Slots.Append(dlog.SlotEntry{Slot: slot, Proc: proc})
-		}
-	}
-	if version >= 3 {
-		if err := r.readCheckpoints(d); err != nil {
-			return nil, err
-		}
-	}
-	if d.u8() == 1 {
-		// Stratified log round-trips through the stratifier's rebuild
-		// helper.
-		strata := d.u32()
-		maxChunk := int(d.u16())
-		if d.err == nil && maxChunk < 1 {
-			return nil, corrupt("stratified log with max %d chunks per stratum", maxChunk)
-		}
-		rows := make([][]int, 0, allocHint(strata))
-		for i := uint32(0); i < strata && d.err == nil; i++ {
-			row := make([]int, r.NProcs+1)
-			for j := range row {
-				row[j] = int(d.u16())
-			}
-			if d.err == nil {
-				rows = append(rows, row)
-			}
-		}
-		if d.err == nil {
-			r.Stratified = rebuildStratified(r.NProcs, maxChunk, rows)
-		}
-	}
-
 	if d.err != nil {
 		return nil, corrupt("truncated recording: %v", d.err)
 	}

@@ -2,6 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -295,4 +301,35 @@ func replicateProgs(p *isa.Program, n int) []*isa.Program {
 		ps[i] = p
 	}
 	return ps
+}
+
+// TestLyingLengthFailsBeforeAllocating: a declared length beyond the
+// bytes left in the container fails before any buffer is allocated, so
+// a few-KB upload cannot make the loader allocate half a gigabyte.
+func TestLyingLengthFailsBeforeAllocating(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_v3.dlrn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The v3 body starts with the initial memory, then the PI log's
+	// presence byte, entry count and bit length.
+	off := v4CommonHeaderLen(4)
+	off += 4 + 12*int(binary.LittleEndian.Uint32(data[off:]))
+	if data[off] != 1 {
+		t.Fatal("golden recording has no PI log")
+	}
+	off += 1 + 4
+	mut := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(mut[off:], math.MaxUint32)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = ReadRecording(bytes.NewReader(mut))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptLog) {
+		t.Fatalf("lying PI bit length: error %v, want ErrCorruptLog", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("rejecting a %d-byte container allocated %d bytes", len(mut), got)
+	}
 }

@@ -3,6 +3,8 @@ package diffcheck
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"delorean/internal/core"
@@ -10,39 +12,92 @@ import (
 	"delorean/internal/sim"
 )
 
-// seedRecordingBytes serializes one small real recording per mode; the
-// fuzz targets below use them as corpus seeds so mutation starts from
-// well-formed containers rather than random noise.
-func seedRecordingBytes(f *testing.F) [][]byte {
-	f.Helper()
+// seedRecording is one small real recording as container bytes: the v4
+// stream WriteTo emits today and the committed v3 fixture of the same
+// recording.
+type seedRecording struct {
+	mode   core.Mode
+	v4, v3 []byte
+}
+
+// v3Fixtures names the committed v3 container of each seed recording.
+// The fixtures were written by the v3 writer before it was retired; they
+// pin legacy read compatibility now that nothing writes v3.
+var v3Fixtures = map[core.Mode]string{
+	core.OrderSize: "seed_v3_ordersize.dlrn",
+	core.OrderOnly: "seed_v3_orderonly.dlrn",
+	core.PicoLog:   "seed_v3_picolog.dlrn",
+}
+
+// seedRecordings records one small real recording per mode.
+func seedRecordings(tb testing.TB) []seedRecording {
+	tb.Helper()
 	cfg := sim.Default8().WithProcs(2).WithChunkSize(60)
 	cfg.MaxInsts = 5_000_000
 	gen := DefaultGen()
 	gen.Iters = 8
 	progs := GenPrograms(3, 2, gen)
-	var out [][]byte
+	var out []seedRecording
 	for _, mode := range []core.Mode{core.OrderSize, core.OrderOnly, core.PicoLog} {
 		// CheckpointEvery populates the checkpoint section, so mutation
 		// reaches the delta-checkpoint decoder too.
 		rec, err := core.Record(cfg, mode, progs, mem.New(), nil,
 			core.RecordOptions{TruncSeed: 3, CheckpointEvery: 4})
 		if err != nil {
-			f.Fatalf("seed recording (%v): %v", mode, err)
+			tb.Fatalf("seed recording (%v): %v", mode, err)
 		}
-		// Both container generations: the framed v4 stream WriteTo emits
-		// and the legacy v3 layout, so mutation explores both decoders.
 		var buf bytes.Buffer
 		if _, err := rec.WriteTo(&buf); err != nil {
-			f.Fatalf("serialize seed (%v): %v", mode, err)
+			tb.Fatalf("serialize seed (%v): %v", mode, err)
 		}
-		out = append(out, buf.Bytes())
-		var v3 bytes.Buffer
-		if _, err := rec.WriteToV3(&v3); err != nil {
-			f.Fatalf("serialize v3 seed (%v): %v", mode, err)
+		v3, err := os.ReadFile(filepath.Join("testdata", v3Fixtures[mode]))
+		if err != nil {
+			tb.Fatalf("v3 fixture (%v): %v", mode, err)
 		}
-		out = append(out, v3.Bytes())
+		out = append(out, seedRecording{mode: mode, v4: buf.Bytes(), v3: v3})
 	}
 	return out
+}
+
+// seedRecordingBytes returns both container generations of every seed
+// recording; the fuzz targets below use them as corpus seeds so
+// mutation starts from well-formed containers rather than random noise,
+// and explores both the v4 and the legacy v3 decoder.
+func seedRecordingBytes(f *testing.F) [][]byte {
+	f.Helper()
+	var out [][]byte
+	for _, s := range seedRecordings(f) {
+		out = append(out, s.v4, s.v3)
+	}
+	return out
+}
+
+// TestV3Fixtures: each committed v3 container loads and re-encodes to
+// exactly the live v4 bytes of the same recording, through both the
+// eager loader and the index path, so the legacy decoder stays
+// bit-faithful.
+func TestV3Fixtures(t *testing.T) {
+	for _, s := range seedRecordings(t) {
+		t.Run(s.mode.String(), func(t *testing.T) {
+			eager, err := core.ReadRecording(bytes.NewReader(s.v3))
+			if err != nil {
+				t.Fatalf("loading v3 fixture: %v", err)
+			}
+			indexed, err := core.IndexRecording(s.v3)
+			if err != nil {
+				t.Fatalf("indexing v3 fixture: %v", err)
+			}
+			for name, rec := range map[string]*core.Recording{"eager": eager, "indexed": indexed} {
+				var re bytes.Buffer
+				if _, err := rec.WriteTo(&re); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(re.Bytes(), s.v4) {
+					t.Fatalf("%s load of the v3 fixture re-encodes to different v4 bytes", name)
+				}
+			}
+		})
+	}
 }
 
 // corruptFrameSeeds derives hostile variants from well-formed streams:
@@ -68,9 +123,11 @@ func corruptFrameSeeds(seeds [][]byte) [][]byte {
 // FuzzRecordingDeserialize: an arbitrary byte stream fed to the
 // recording loader must either load cleanly or fail with an
 // ErrCorruptLog-wrapped error — never panic, never return a partial
-// Recording. A stream that does load must survive a serialize→reload
-// round trip byte-identically (the loader and writer agree on the
-// format).
+// Recording. The eager loader and the serving path (index, then
+// materialize on a worker pool) must agree on accept/reject and decode
+// the same recording, also after a release and rematerialization. A
+// stream that does load must survive a serialize→reload round trip
+// byte-identically (the loader and writer agree on the format).
 func FuzzRecordingDeserialize(f *testing.F) {
 	seeds := seedRecordingBytes(f)
 	for _, b := range seeds {
@@ -81,19 +138,20 @@ func FuzzRecordingDeserialize(f *testing.F) {
 	}
 	f.Add([]byte("DLRN"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := core.ReadRecording(bytes.NewReader(data))
-		// The parallel frame decoder must agree with the sequential one
-		// on accept/reject for every input.
-		recPar, perr := core.ReadRecordingParallel(bytes.NewReader(data), 4)
-		if (err == nil) != (perr == nil) {
-			t.Fatalf("sequential and parallel loaders disagree: %v vs %v", err, perr)
+		rec, err := core.ReadRecordingParallel(bytes.NewReader(data), 1)
+		lazy, lerr := core.IndexRecording(data)
+		if lerr == nil {
+			lerr = lazy.EnsureCheckpoints(4)
+		}
+		if (err == nil) != (lerr == nil) {
+			t.Fatalf("eager and indexed loaders disagree: %v vs %v", err, lerr)
 		}
 		if err != nil {
 			if !errors.Is(err, core.ErrCorruptLog) {
 				t.Fatalf("loader error does not wrap ErrCorruptLog: %v", err)
 			}
-			if !errors.Is(perr, core.ErrCorruptLog) {
-				t.Fatalf("parallel loader error does not wrap ErrCorruptLog: %v", perr)
+			if !errors.Is(lerr, core.ErrCorruptLog) {
+				t.Fatalf("indexed loader error does not wrap ErrCorruptLog: %v", lerr)
 			}
 			return
 		}
@@ -101,13 +159,21 @@ func FuzzRecordingDeserialize(f *testing.F) {
 		if _, err := rec.WriteTo(&first); err != nil {
 			t.Fatalf("re-serialize of loaded recording: %v", err)
 		}
-		var firstPar bytes.Buffer
-		if _, err := recPar.WriteTo(&firstPar); err != nil {
-			t.Fatalf("re-serialize of parallel-loaded recording: %v", err)
+		reserialize := func(pass string) {
+			var buf bytes.Buffer
+			if _, err := lazy.WriteTo(&buf); err != nil {
+				t.Fatalf("re-serialize of %s recording: %v", pass, err)
+			}
+			if !bytes.Equal(first.Bytes(), buf.Bytes()) {
+				t.Fatalf("eager and %s loads re-serialize differently", pass)
+			}
 		}
-		if !bytes.Equal(first.Bytes(), firstPar.Bytes()) {
-			t.Fatal("sequential and parallel loads re-serialize differently")
+		reserialize("indexed")
+		lazy.ReleaseLogs()
+		if err := lazy.EnsureCheckpoints(1); err != nil {
+			t.Fatalf("rematerialize after release: %v", err)
 		}
+		reserialize("rematerialized")
 		rec2, err := core.ReadRecording(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("reload of re-serialized recording: %v", err)

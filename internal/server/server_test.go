@@ -577,9 +577,10 @@ func TestPersistFailureKeepsRecordingServable(t *testing.T) {
 }
 
 // TestUploadDeadline: the per-request deadline reaches the upload path.
-// The container decode streams through a context-checking reader, so a
-// deadline that expires mid-decode surfaces as 504 deadline_exceeded —
-// not as a corrupt_log misclassification of the truncated read.
+// The upload checks the deadline between its phases (index the upload,
+// re-encode it to canonical bytes, index those), so a deadline that
+// expires during the decode surfaces as 504 deadline_exceeded, not as a
+// successful upload or a corrupt_log misclassification.
 func TestUploadDeadline(t *testing.T) {
 	_, hs := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
 	resp, body := upload(t, hs.URL, goldenQuery, goldenBytes(t))
