@@ -36,6 +36,7 @@ import (
 	"delorean/internal/isa"
 	"delorean/internal/mem"
 	"delorean/internal/sim"
+	"delorean/internal/trace"
 	"delorean/internal/workload"
 )
 
@@ -226,13 +227,19 @@ func Record(cfg Config, mode Mode, w *Workload) (*Recording, error) {
 // than one chunk's execution — and RecordContext returns an error
 // wrapping ctx.Err(). The partial recording is discarded.
 func RecordContext(ctx context.Context, cfg Config, mode Mode, w *Workload) (*Recording, error) {
-	m := cfg.machine()
-	memory := w.InitMem()
-	rec, err := core.Record(m, coreMode(mode), w.Progs, memory, w.Devs, core.RecordOptions{
+	return record(ctx, cfg, mode, w, nil)
+}
+
+// record is the one mapping from the public record API onto core: the
+// workload runs on cfg's machine with cfg's recording options, traced
+// into sink when it is non-nil.
+func record(ctx context.Context, cfg Config, mode Mode, w *Workload, sink *trace.Sink) (*Recording, error) {
+	rec, err := core.Record(cfg.machine(), coreMode(mode), w.Progs, w.InitMem(), w.Devs, core.RecordOptions{
 		StratifyMax:     cfg.Stratify,
 		ExactConflicts:  cfg.ExactConflicts,
 		CheckpointEvery: cfg.CheckpointEvery,
 		Parallel:        cfg.SimParallel,
+		Trace:           sink,
 		Ctx:             ctx,
 	})
 	if err != nil {
@@ -311,7 +318,8 @@ type ReplayWith struct {
 	// per-interval verdicts (requires Config.CheckpointEvery at record
 	// time; without checkpoints it falls back to a sequential replay).
 	// The verdict is bit-identical to a sequential replay at every
-	// worker count. Incompatible with UseStratified.
+	// worker count. Incompatible with UseStratified. ReplayFromCheckpoint
+	// replays a single interval and ignores it.
 	Parallel int
 	// Ctx, when non-nil, cancels the replay: once the context is done the
 	// engine (every interval worker, for segmented replay) stops within a
@@ -374,30 +382,41 @@ func divergenceInfo(div *core.DivergenceError) *DivergenceInfo {
 // Recording concurrency contract); each call runs on private engine
 // state and reads the recording's logs through per-call cursors.
 func (r *Recording) Replay(opts ReplayWith) (ReplayResult, error) {
+	return r.replay("replay", opts, nil, core.Replay)
+}
+
+// coreReplay is a core replay entry point bound to its start point.
+type coreReplay func(*core.Recording, sim.Config, []*isa.Program, core.ReplayOptions) (core.ReplayResult, error)
+
+// replay is the one mapping from the public replay API onto core: it
+// runs the core entry point run with opts on the recording's replay
+// machine, traced into sink when it is non-nil. Core's replay verifies
+// itself, so a nil error is a reproduced recording (Deterministic), a
+// DivergenceError is a well-formed non-deterministic verdict, and any
+// other error — including cancellation, which wraps ctx.Err() — is an
+// API failure, never a verdict. what names the replay in such an error.
+func (r *Recording) replay(what string, opts ReplayWith, sink *trace.Sink, run coreReplay) (ReplayResult, error) {
 	ro := core.ReplayOptions{
 		UseStratified:  opts.UseStratified,
 		ExactConflicts: r.cfg.ExactConflicts,
 		Parallel:       r.cfg.SimParallel,
 		ReplayParallel: opts.Parallel,
+		Trace:          sink,
 		Ctx:            opts.Ctx,
 	}
 	if opts.PerturbSeed != 0 {
 		ro.Perturb = bulksc.DefaultPerturb(opts.PerturbSeed)
 	}
-	res, err := core.Replay(r.rec, core.ReplayConfig(r.cfg.machine()), r.progs, ro)
-	if err != nil {
-		// A detected divergence is a well-formed replay outcome
-		// (Deterministic=false), not an API failure. A cancelled replay is
-		// an API failure (wrapping context.Canceled), never a verdict.
-		var div *core.DivergenceError
-		if errors.As(err, &div) {
-			return ReplayResult{Deterministic: false, Stats: execStats(res.Stats),
-				DivergentInterval: div.Interval, Divergence: divergenceInfo(div)}, nil
-		}
-		return ReplayResult{}, fmt.Errorf("delorean: replay: %w", err)
+	res, err := run(r.rec, core.ReplayConfig(r.cfg.machine()), r.progs, ro)
+	out := ReplayResult{Deterministic: err == nil, Stats: execStats(res.Stats), DivergentInterval: -1}
+	var div *core.DivergenceError
+	switch {
+	case errors.As(err, &div):
+		out.DivergentInterval, out.Divergence = div.Interval, divergenceInfo(div)
+	case err != nil:
+		return ReplayResult{}, fmt.Errorf("delorean: %s: %w", what, err)
 	}
-	return ReplayResult{Deterministic: res.Matches(r.rec), Stats: execStats(res.Stats),
-		DivergentInterval: -1}, nil
+	return out, nil
 }
 
 // RunUnordered executes the recording's programs again on the chunked
@@ -438,22 +457,10 @@ func (r *Recording) Checkpoints() int { return r.rec.CheckpointCount() }
 // the delta-checkpoint materialization cache it shares with segmented
 // replay is internally locked.
 func (r *Recording) ReplayFromCheckpoint(idx int, opts ReplayWith) (ReplayResult, error) {
-	ro := core.ReplayOptions{ExactConflicts: r.cfg.ExactConflicts, Parallel: r.cfg.SimParallel,
-		Ctx: opts.Ctx}
-	if opts.PerturbSeed != 0 {
-		ro.Perturb = bulksc.DefaultPerturb(opts.PerturbSeed)
-	}
-	res, err := core.ReplayFromCheckpoint(r.rec, idx, core.ReplayConfig(r.cfg.machine()), r.progs, ro)
-	if err != nil {
-		var div *core.DivergenceError
-		if errors.As(err, &div) {
-			return ReplayResult{Deterministic: false, Stats: execStats(res.Stats),
-				DivergentInterval: div.Interval, Divergence: divergenceInfo(div)}, nil
-		}
-		return ReplayResult{}, fmt.Errorf("delorean: interval replay: %w", err)
-	}
-	return ReplayResult{Deterministic: res.MatchesInterval(r.rec, idx), Stats: execStats(res.Stats),
-		DivergentInterval: -1}, nil
+	return r.replay("interval replay", opts, nil,
+		func(rec *core.Recording, cfg sim.Config, progs []*isa.Program, ro core.ReplayOptions) (core.ReplayResult, error) {
+			return core.ReplayFromCheckpoint(rec, idx, cfg, progs, ro)
+		})
 }
 
 // Save serializes the recording (logs, checkpoint, verification hashes)

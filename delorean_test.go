@@ -268,3 +268,25 @@ func TestIntervalReplayFacade(t *testing.T) {
 		}
 	}
 }
+
+// TestIntervalReplayFacadeRejectsStratified: ReplayWith reaches interval
+// replay whole. A stratified request cannot be honoured from a
+// checkpoint (stratum boundaries do not align with cuts), so it must
+// fail rather than silently replay the exact PI sequence.
+func TestIntervalReplayFacadeRejectsStratified(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Stratify = 1
+	cfg.CheckpointEvery = 20
+	w := NewWorkload("lu", 4, 10000, 2)
+	rec, err := Record(cfg, OrderOnly, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Checkpoints() == 0 || rec.StratifiedLogBits() == 0 {
+		t.Fatalf("setup: %d checkpoints, %d stratified log bits", rec.Checkpoints(), rec.StratifiedLogBits())
+	}
+	res, err := rec.ReplayFromCheckpoint(0, ReplayWith{UseStratified: true})
+	if err == nil {
+		t.Fatalf("stratified interval replay accepted: %+v", res)
+	}
+}

@@ -73,9 +73,8 @@ type Engine struct {
 	Trace *trace.Sink
 	// MS, when non-nil, supplies the timing hierarchy instead of
 	// building a fresh one; Run resets it, so its geometry must match
-	// Cfg. Segmented replay pools hierarchies across its per-interval
-	// engines — cache-set construction otherwise dominates interval
-	// replay. Reuse is observation-equivalent: Reset reproduces the
+	// Cfg. Replay pools hierarchies across its interval engines —
+	// cache-set construction otherwise dominates interval replay. Reuse is observation-equivalent: Reset reproduces the
 	// post-construction state exactly.
 	MS *sim.MemSys
 	// Cancel, when non-nil, requests cooperative cancellation: once the

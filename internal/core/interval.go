@@ -2,12 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"delorean/internal/arbiter"
 	"delorean/internal/bulksc"
 	"delorean/internal/isa"
-	"delorean/internal/mem"
 	"delorean/internal/sim"
 )
 
@@ -52,108 +49,22 @@ func validateCheckpointProcs(rec *Recording, progs []*isa.Program) error {
 // ReplayFromCheckpoint replays the interval from rec.Checkpoints[idx] to
 // the end of the recording: memory is restored from the checkpoint,
 // processors resume from their saved chunk boundaries, and the log
-// suffixes drive ordering and inputs. Recording with checkpoints
-// requires RecordOptions.CheckpointEvery > 0.
+// suffixes drive ordering and inputs. It is the interval replayer run
+// from checkpoint idx, verified against the checkpoint's suffix
+// fingerprint and the recording's final memory hash. Recording with
+// checkpoints requires RecordOptions.CheckpointEvery > 0.
 //
 // Stratified interval replay is not supported: stratum boundaries do not
 // generally align with checkpoint slots.
 func ReplayFromCheckpoint(rec *Recording, idx int, cfg sim.Config, progs []*isa.Program, opts ReplayOptions) (ReplayResult, error) {
-	if err := rec.EnsureCheckpoints(opts.Parallel); err != nil {
-		return ReplayResult{}, err
+	if n := rec.CheckpointCount(); idx < 0 || idx >= n {
+		return ReplayResult{}, checkpointRange(idx, n)
 	}
-	if idx < 0 || idx >= len(rec.Checkpoints) {
-		return ReplayResult{}, checkpointRange(idx, len(rec.Checkpoints))
-	}
-	if opts.UseStratified {
-		return ReplayResult{}, fmt.Errorf("core: stratified interval replay is not supported")
-	}
-	if err := rec.Validate(); err != nil {
-		return ReplayResult{}, err
-	}
-	if cfg.NProcs != rec.NProcs {
-		return ReplayResult{}, fmt.Errorf("core: replay with %d procs, recording has %d", cfg.NProcs, rec.NProcs)
-	}
-	if len(progs) != rec.NProcs {
-		return ReplayResult{}, fmt.Errorf("core: replay with %d programs, recording has %d procs", len(progs), rec.NProcs)
-	}
-	if err := validateCheckpointProcs(rec, progs); err != nil {
-		return ReplayResult{}, err
-	}
-	cp := rec.Checkpoints[idx]
-	cfg.ChunkSize = rec.ChunkSize
-
-	img, err := rec.MaterializeCheckpoint(idx)
+	r, err := newReplayer(rec, cfg, progs, opts, idx, false)
 	if err != nil {
 		return ReplayResult{}, err
 	}
-	memory := mem.New()
-	memory.Restore(img)
-
-	var policy arbiter.Policy
-	if rec.Mode == PicoLog {
-		var slots []arbiter.SlotRef
-		for _, e := range rec.Slots.Entries() {
-			if e.Slot >= cp.Slot {
-				slots = append(slots, arbiter.SlotRef{Slot: e.Slot, Proc: e.Proc})
-			}
-		}
-		for _, e := range rec.DMA.Entries() {
-			if e.Slot >= cp.Slot {
-				slots = append(slots, arbiter.SlotRef{Slot: e.Slot, Proc: bulksc.DMAProc(rec.NProcs)})
-			}
-		}
-		sort.Slice(slots, func(i, j int) bool { return slots[i].Slot < slots[j].Slot })
-		policy = arbiter.NewRoundRobinReplayAt(rec.NProcs, cp.TokenAt, slots)
-	} else {
-		entries := rec.PI.Entries()
-		if cp.Slot > uint64(len(entries)) {
-			return ReplayResult{}, fmt.Errorf("core: checkpoint slot %d beyond PI log (%d)", cp.Slot, len(entries))
-		}
-		policy = arbiter.NewLogOrder(entries[cp.Slot:])
-	}
-
-	src := newLogSource(rec)
-	for p := 0; p < rec.NProcs; p++ {
-		src.ioIdx[p] = cp.Procs[p].IOConsumed
-	}
-	// Skip DMA entries already applied before the cut.
-	for src.dmaIdx < len(src.dma) && src.dma[src.dmaIdx].Slot < cp.Slot {
-		src.dmaIdx++
-	}
-
-	obs := &replayObserver{fp: newFingerprint(rec.NProcs), nprocs: rec.NProcs}
-	eng := &bulksc.Engine{
-		Cfg:            cfg,
-		Progs:          progs,
-		Mem:            memory,
-		Obs:            obs,
-		Policy:         policy,
-		Replay:         src,
-		Perturb:        opts.Perturb,
-		ExactConflicts: opts.ExactConflicts,
-		PicoLog:        rec.Mode == PicoLog,
-		Parallel:       opts.Parallel,
-		Trace:          opts.Trace,
-		Resume:         &bulksc.Resume{Procs: cp.Procs, BaseCommits: cp.Slot},
-	}
-	if opts.Ctx != nil {
-		eng.Cancel = opts.Ctx.Done()
-	}
-	st := eng.Run()
-	res := ReplayResult{Stats: st, Fingerprint: obs.fp.sum(), MemHash: memory.Hash()}
-	if st.Cancelled {
-		return res, cancelledErr("interval replay", opts.Ctx)
-	}
-	if !st.Converged {
-		derr := rec.stallError(obs, st, cfg.MaxInstsOrDefault(), cp.Slot)
-		noteDivergence(opts.Trace, st.Cycles, derr)
-		return res, derr
-	}
-	if div := rec.divergence(obs, res, cp.Slot, cp.Fingerprint, cp.ProcChains, rec.FinalMemHash, true); div != nil {
-		noteDivergence(opts.Trace, st.Cycles, div)
-		return res, div
-	}
-	return res, nil
+	return r.run(idx)
 }
 
 // IntervalMatch reports which sides of an interval-replay comparison

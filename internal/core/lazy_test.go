@@ -229,6 +229,24 @@ func TestIndexRecordingV3Fallback(t *testing.T) {
 	}
 }
 
+// TestLegacyTrailingBytesRejected: one validity rule for every
+// container version — bytes after a v2/v3 body are corruption, exactly
+// as bytes after a v4 end frame are, for the eager and indexed loaders
+// alike.
+func TestLegacyTrailingBytesRejected(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_v3.dlrn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append(bytes.Clone(data), 0xde, 0xad, 0xbe, 0xef)
+	if _, err := ReadRecording(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptLog) {
+		t.Fatalf("ReadRecording(v3 + trailing) = %v, want ErrCorruptLog", err)
+	}
+	if _, err := IndexRecording(bad); !errors.Is(err, ErrCorruptLog) {
+		t.Fatalf("IndexRecording(v3 + trailing) = %v, want ErrCorruptLog", err)
+	}
+}
+
 // TestIndexRecordingConcurrentMaterialize: many goroutines racing to
 // materialize and replay one indexed recording (run under -race) agree
 // with the eager verdict.

@@ -1,9 +1,32 @@
 package core
 
+// Replay: one interval replayer, three entry points.
+//
+// A replay re-runs the recorded programs from a checkpoint with an
+// order-enforcing arbiter policy and the logs as the input source. Every
+// replay in this package is one interval of that kind (paper Appendix
+// B's I(n, m)), run by replayer.interval: it starts from the initial
+// state or from checkpoint j, and it either runs to convergence or stops
+// exactly at the next checkpoint's cut. The entry points differ only in
+// which intervals they ask for and what they verify them against:
+//
+//   - Replay: the interval from the initial state to the end, checked
+//     against the recording's fingerprint and final memory hash;
+//   - ReplayFromCheckpoint(j): the interval from checkpoint j to the end,
+//     checked against checkpoint j's suffix fingerprint;
+//   - segmented Replay (ReplayOptions.ReplayParallel): the k+1 intervals
+//     between consecutive cuts, fanned out across workers, each bounded
+//     one checked against its interval fingerprint and memory delta (see
+//     segmented.go).
+//
+// newReplayer runs the up-front checks once per public call, and every
+// interval runs on pooled engine state (scratchPool).
+
 import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"delorean/internal/arbiter"
 	"delorean/internal/bulksc"
@@ -31,9 +54,9 @@ func (r ReplayResult) Matches(rec *Recording) bool {
 
 // logView is the immutable, shareable part of a Recording's replay
 // inputs: truncation and interrupt lookups, I/O value slices and the
-// DMA entry list. Building it walks every log once; segmented replay
-// builds one view and hands each interval worker its own cursored
-// logSource over it.
+// DMA entry list. Building it walks every log once; each replay call
+// builds one view and hands every interval its own cursored logSource
+// over it.
 type logView struct {
 	trunc []map[uint64]int
 	intr  []map[uint64]dlog.IntrEntry
@@ -72,10 +95,6 @@ type logSource struct {
 	*logView
 	ioIdx  []int
 	dmaIdx int
-}
-
-func newLogSource(rec *Recording) *logSource {
-	return newLogView(rec).source()
 }
 
 func (s *logSource) Truncation(proc int, seqID uint64) (int, bool) {
@@ -121,19 +140,17 @@ type slotCommit struct {
 }
 
 // replayObserver builds the replay-side fingerprint and keeps the
-// logical commit stream for divergence localization.
+// logical commit stream for divergence localization. It does not hash
+// I/O values as they fire: an interval racing toward its stop boundary
+// can consume values the recording attributes to the next interval (I/O
+// fires between chunks, so its timing — unlike commit slots — is not
+// pinned by the ordering log), so the replayer rebuilds each interval's
+// I/O chains from the log's consumption ranges after the run.
 type replayObserver struct {
 	bulksc.NopObserver
 	fp     *fingerprint
 	nprocs int
 	stream []slotCommit
-	// ioByLog suppresses fire-time I/O hashing. Segmented replay sets it:
-	// an interval worker racing toward its stop boundary can consume I/O
-	// values the recording attributes to the next interval (I/O fires
-	// between chunks, so its timing — unlike commit slots — is not pinned
-	// by the ordering log), so the driver reconstructs each interval's
-	// I/O chains from the log's consumption ranges after the run.
-	ioByLog bool
 }
 
 func (o *replayObserver) OnCommit(ev bulksc.CommitEvent) {
@@ -152,11 +169,6 @@ func (o *replayObserver) OnCommit(ev bulksc.CommitEvent) {
 		return
 	}
 	o.stream = append(o.stream, slotCommit{proc: ev.Proc, seqID: ev.SeqID, size: ev.Size})
-}
-func (o *replayObserver) OnIORead(proc int, _ int64, v uint64) {
-	if !o.ioByLog {
-		o.fp.io(proc, v)
-	}
 }
 func (o *replayObserver) OnInterrupt(proc int, seq uint64, typ, data int64, _ bool) {
 	o.fp.intr(proc, seq, typ, data)
@@ -333,89 +345,375 @@ type ReplayOptions struct {
 // builds all engine state per call, so concurrent replays of the same
 // recording are safe and produce identical verdicts.
 func Replay(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions) (ReplayResult, error) {
-	if err := rec.EnsureLogs(opts.Parallel); err != nil {
+	segmented := opts.ReplayParallel > 0 && rec.CheckpointCount() > 0
+	r, err := newReplayer(rec, cfg, progs, opts, -1, segmented)
+	if err != nil {
 		return ReplayResult{}, err
+	}
+	if segmented {
+		return r.segmented()
+	}
+	// No checkpoints to partition at: one interval, start to end.
+	return r.run(-1)
+}
+
+// replayer is one public replay call's checked, read-only context: the
+// recording, the machine (with the recording's chunk size), the
+// programs, the options and the log view every interval's cursors run
+// over.
+type replayer struct {
+	rec   *Recording
+	cfg   sim.Config
+	progs []*isa.Program
+	opts  ReplayOptions
+	view  *logView
+	// what names the replay in a cancellation error.
+	what string
+}
+
+// newReplayer runs the up-front checks of a replay starting at from
+// (-1: a whole-run replay, segmented or not; j ≥ 0: checkpoint j, which
+// the caller has range-checked). It decodes the logs — and the
+// checkpoint section, when the replay resumes at checkpoints — on the
+// replay's workers, checks the request against the recording, validates
+// the recording, matches cfg and progs against it, and checks every
+// checkpointed processor state against progs. Each public replay call
+// runs it once.
+func newReplayer(rec *Recording, cfg sim.Config, progs []*isa.Program, opts ReplayOptions,
+	from int, segmented bool) (*replayer, error) {
+	resume := segmented || from >= 0
+	ensure, workers := rec.EnsureLogs, opts.Parallel
+	if resume {
+		ensure = rec.EnsureCheckpoints
+	}
+	if segmented {
+		workers = opts.ReplayParallel
+	}
+	if err := ensure(workers); err != nil {
+		return nil, err
+	}
+	what := "replay"
+	if from >= 0 {
+		what = "interval replay"
+		if opts.UseStratified {
+			return nil, fmt.Errorf("core: stratified interval replay is not supported")
+		}
 	}
 	if err := rec.Validate(); err != nil {
-		return ReplayResult{}, err
+		return nil, err
 	}
 	if cfg.NProcs != rec.NProcs {
-		return ReplayResult{}, fmt.Errorf("core: replay with %d procs, recording has %d", cfg.NProcs, rec.NProcs)
+		return nil, fmt.Errorf("core: replay with %d procs, recording has %d", cfg.NProcs, rec.NProcs)
 	}
 	if len(progs) != rec.NProcs {
-		return ReplayResult{}, fmt.Errorf("core: replay with %d programs, recording has %d procs", len(progs), rec.NProcs)
+		return nil, fmt.Errorf("core: replay with %d programs, recording has %d procs", len(progs), rec.NProcs)
+	}
+	if from < 0 && opts.ReplayParallel > 0 && opts.UseStratified {
+		return nil, fmt.Errorf("core: segmented replay cannot enforce a stratified log")
+	}
+	if resume {
+		if err := validateCheckpointProcs(rec, progs); err != nil {
+			return nil, err
+		}
 	}
 	cfg.ChunkSize = rec.ChunkSize
+	return &replayer{rec: rec, cfg: cfg, progs: progs, opts: opts, view: newLogView(rec), what: what}, nil
+}
 
-	if opts.ReplayParallel > 0 {
-		if opts.UseStratified {
-			return ReplayResult{}, fmt.Errorf("core: segmented replay cannot enforce a stratified log")
-		}
-		if rec.CheckpointCount() > 0 {
-			if err := rec.EnsureCheckpoints(opts.ReplayParallel); err != nil {
-				return ReplayResult{}, err
-			}
-			return replaySegmented(rec, cfg, progs, opts)
-		}
-		// No checkpoints to partition at: plain sequential replay below.
+// run replays the unbounded interval from start point from (-1: the
+// initial state, j ≥ 0: checkpoint j) to the end of the recording.
+func (r *replayer) run(from int) (ReplayResult, error) {
+	s := r.scratch()
+	out := r.interval(s, from, false)
+	scratchPool.Put(s)
+	return out.verdict(r.opts.Trace)
+}
+
+// outcome is one interval replay's result.
+type outcome struct {
+	res ReplayResult
+	err error
+	// start/end delimit the interval's commit-slot span (end is the
+	// actually reached slot for an unbounded interval).
+	start, end uint64
+}
+
+// verdict returns the interval's result and error, marking a
+// divergence on the trace timeline.
+func (o outcome) verdict(sink *trace.Sink) (ReplayResult, error) {
+	if d, ok := o.err.(*DivergenceError); ok {
+		noteDivergence(sink, o.res.Stats.Cycles, d)
 	}
+	return o.res, o.err
+}
 
-	memory := mem.New()
-	memory.Restore(rec.InitialMem)
+// interval is the one replay driver. It replays rec from start point
+// from (-1: the initial state, j ≥ 0: checkpoint j's cut) on the engine
+// state in s and verifies the run:
+//
+//   - unbounded, it runs to convergence and must reproduce the
+//     recording's fingerprint (checkpoint j's suffix fingerprint when
+//     starting at a checkpoint) and final memory hash;
+//   - bounded, it stops exactly at checkpoint from+1's cut and must
+//     reproduce that checkpoint's interval fingerprint and memory image.
+//
+// A divergence is reported with Interval -1; the segmented driver
+// attributes it. s is owned by the caller for the duration of the call.
+func (r *replayer) interval(s *scratch, from int, bounded bool) outcome {
+	rec := r.rec
+	var start *IntervalCheckpoint // nil: the initial state
+	startSlot := uint64(0)
+	if from >= 0 {
+		start = &rec.Checkpoints[from]
+		startSlot = start.Slot
+	}
+	var stop *IntervalCheckpoint // nil: run to convergence
+	stopSlot := uint64(0)
+	if bounded {
+		stop = &rec.Checkpoints[from+1]
+		stopSlot = stop.Slot
+	}
+	out := outcome{start: startSlot, end: stopSlot}
+
+	// Establish the start state. A scratch holding a proven earlier
+	// image of this recording rolls forward in place through the
+	// intervening deltas — O(delta volume) — and only otherwise restores
+	// the initial memory or a materialized image — O(footprint).
+	memory := s.mem
+	switch {
+	case s.memRec == rec && s.memAt >= 0 && s.memAt <= from:
+		for j := s.memAt + 1; j <= from; j++ {
+			memory.ApplyDelta(rec.Checkpoints[j].MemDelta)
+		}
+	case start == nil:
+		memory.Restore(rec.InitialMem)
+	default:
+		img, err := rec.MaterializeCheckpoint(from)
+		if err != nil {
+			out.err = err
+			return out
+		}
+		memory.Restore(img)
+	}
+	// Unknown while the interval runs; re-proven by a passing end check.
+	s.memRec, s.memAt = rec, memUnknown
+	// A bounded interval starts at image from by construction, so its end
+	// check against image from+1 reduces to the checkpoint's delta plus a
+	// journal of the interval's own writes (Memory.EqualDelta) — no
+	// materialization, no footprint-sized scan. An unbounded interval
+	// checks FinalMemHash instead and needs no journal.
+	if bounded {
+		memory.BeginJournal()
+	} else {
+		memory.EndJournal()
+	}
 
 	var policy arbiter.Policy
 	switch {
 	case rec.Mode == PicoLog:
 		var slots []arbiter.SlotRef
 		for _, e := range rec.Slots.Entries() {
-			slots = append(slots, arbiter.SlotRef{Slot: e.Slot, Proc: e.Proc})
+			if e.Slot >= startSlot {
+				slots = append(slots, arbiter.SlotRef{Slot: e.Slot, Proc: e.Proc})
+			}
 		}
 		for _, e := range rec.DMA.Entries() {
-			slots = append(slots, arbiter.SlotRef{Slot: e.Slot, Proc: bulksc.DMAProc(rec.NProcs)})
+			if e.Slot >= startSlot {
+				slots = append(slots, arbiter.SlotRef{Slot: e.Slot, Proc: bulksc.DMAProc(rec.NProcs)})
+			}
 		}
-		sort.Slice(slots, func(i, j int) bool { return slots[i].Slot < slots[j].Slot })
-		policy = arbiter.NewRoundRobinReplay(rec.NProcs, slots)
-	case opts.UseStratified:
+		sort.Slice(slots, func(a, b int) bool { return slots[a].Slot < slots[b].Slot })
+		token := 0
+		if start != nil {
+			token = start.TokenAt
+		}
+		policy = arbiter.NewRoundRobinReplayAt(rec.NProcs, token, slots)
+	case r.opts.UseStratified:
+		// Entry points admit the stratified log only for a whole-run
+		// replay: stratum boundaries do not align with checkpoint cuts.
 		if rec.Stratified == nil {
-			return ReplayResult{}, fmt.Errorf("core: recording has no stratified PI log")
+			out.err = fmt.Errorf("core: recording has no stratified PI log")
+			return out
 		}
 		policy = stratifier.NewStratumOrder(rec.Stratified, rec.NProcs)
 	default:
-		policy = arbiter.NewLogOrder(rec.PI.Entries())
+		policy = arbiter.NewLogOrder(rec.PI.Entries()[startSlot:])
+	}
+
+	src := r.view.source()
+	var resume *bulksc.Resume
+	if start != nil {
+		for p := range src.ioIdx {
+			src.ioIdx[p] = start.Procs[p].IOConsumed
+		}
+		// Skip DMA entries already applied before the cut.
+		for src.dmaIdx < len(src.dma) && src.dma[src.dmaIdx].Slot < startSlot {
+			src.dmaIdx++
+		}
+		resume = &bulksc.Resume{Procs: start.Procs, BaseCommits: startSlot}
 	}
 
 	obs := &replayObserver{fp: newFingerprint(rec.NProcs), nprocs: rec.NProcs}
 	eng := &bulksc.Engine{
-		Cfg:            cfg,
-		Progs:          progs,
+		Cfg:            r.cfg,
+		Progs:          r.progs,
 		Mem:            memory,
 		Obs:            obs,
 		Policy:         policy,
-		Replay:         newLogSource(rec),
-		Perturb:        opts.Perturb,
-		ExactConflicts: opts.ExactConflicts,
+		Replay:         src,
+		Perturb:        r.opts.Perturb,
+		ExactConflicts: r.opts.ExactConflicts,
 		PicoLog:        rec.Mode == PicoLog,
-		Parallel:       opts.Parallel,
-		Trace:          opts.Trace,
+		Parallel:       r.opts.Parallel,
+		Trace:          r.opts.Trace,
+		Resume:         resume,
+		StopAtCommit:   stopSlot,
+		MS:             s.ms,
 	}
-	if opts.Ctx != nil {
-		eng.Cancel = opts.Ctx.Done()
+	if r.opts.Ctx != nil {
+		eng.Cancel = r.opts.Ctx.Done()
 	}
 	st := eng.Run()
-	res := ReplayResult{Stats: st, Fingerprint: obs.fp.sum(), MemHash: memory.Hash()}
 	if st.Cancelled {
-		return res, cancelledErr("replay", opts.Ctx)
+		// Scratch state stays pool-safe: memRec/memAt were already marked
+		// unknown above, and MemSys/Memory reset on the next reuse.
+		out.err = cancelledErr(r.what, r.opts.Ctx)
+		return out
 	}
-	if !st.Converged {
-		derr := rec.stallError(obs, st, cfg.MaxInstsOrDefault(), 0)
-		noteDivergence(opts.Trace, st.Cycles, derr)
-		return res, derr
+
+	// Rebuild the interval's I/O chains from the log's recorded
+	// consumption ranges (see replayObserver): an interval is credited
+	// with exactly the values the recording attributes to it, so a
+	// bounded run's harmless run-ahead at its stop boundary cannot skew
+	// the fingerprint, while corrupted values still mismatch. For an
+	// unbounded run the range is exactly what it consumed.
+	for p := 0; p < rec.NProcs; p++ {
+		lo, hi := 0, src.ioIdx[p]
+		if start != nil {
+			lo = start.Procs[p].IOConsumed
+		}
+		if stop != nil {
+			hi = stop.Procs[p].IOConsumed
+		}
+		var chain uint64
+		for _, v := range r.view.io[p][lo:hi] {
+			chain = mix(chain, v)
+		}
+		obs.fp.ioChain[p] = chain
 	}
-	if div := rec.divergence(obs, res, 0, rec.Fingerprint, rec.ProcChains, rec.FinalMemHash, !opts.UseStratified); div != nil {
-		noteDivergence(opts.Trace, st.Cycles, div)
-		return res, div
+
+	// A bounded interval defers the memory hash: its end check verifies
+	// the terminal memory against the stop checkpoint's delta and the
+	// write journal, and hashes only to diagnose a mismatch.
+	res := ReplayResult{Stats: st, Fingerprint: obs.fp.sum()}
+	if stop == nil {
+		res.MemHash = memory.Hash()
+		out.end = startSlot + uint64(len(obs.stream))
 	}
-	return res, nil
+	out.res = res
+	budget := r.cfg.MaxInstsOrDefault()
+
+	if stop == nil {
+		if !st.Converged {
+			out.err = rec.stallError(obs, st, budget, startSlot)
+			return out
+		}
+		wantFP, wantChains := rec.Fingerprint, rec.ProcChains
+		if start != nil {
+			wantFP, wantChains = start.Fingerprint, start.ProcChains
+		}
+		if d := rec.divergence(obs, res, startSlot, wantFP, wantChains, rec.FinalMemHash, !r.opts.UseStratified); d != nil {
+			out.err = d
+		}
+		return out
+	}
+	if !st.Stopped {
+		if !st.Converged {
+			out.err = rec.stallError(obs, st, budget, startSlot)
+			return out
+		}
+		// The machine halted before reaching the cut: fewer commits than
+		// the recording demands of this interval.
+		if d := rec.divergence(obs, res, startSlot, stop.IntervalFingerprint, stop.IntervalChains, res.MemHash, true); d != nil {
+			out.err = d
+			return out
+		}
+		out.err = &DivergenceError{Kind: "stall", Mode: rec.Mode,
+			Slot: int64(startSlot) + int64(len(obs.stream)), Proc: -1, SeqID: -1, Interval: -1,
+			Detail: fmt.Sprintf("interval replay halted after %d commits, before the checkpoint cut at %d",
+				startSlot+uint64(len(obs.stream)), stop.Slot)}
+		return out
+	}
+	if res.Fingerprint == stop.IntervalFingerprint && memory.EqualDelta(stop.MemDelta) {
+		// The passed check proves memory == image from+1 exactly; record
+		// that so this scratch's next interval can roll forward.
+		s.memAt = from + 1
+		return out
+	}
+	// Mismatch: materialize the full checkpoint image only now, to hash
+	// both sides for the divergence report.
+	img, err := rec.MaterializeCheckpoint(from + 1)
+	if err != nil {
+		out.err = err
+		return out
+	}
+	res.MemHash = memory.Hash()
+	out.res = res
+	if d := rec.divergence(obs, res, startSlot, stop.IntervalFingerprint, stop.IntervalChains, mem.HashSnapshot(img), true); d != nil {
+		out.err = d
+	}
+	return out
+}
+
+// scratch is reusable engine state: the timing hierarchy and the
+// functional memory, both reset-on-reuse, pooled across intervals and
+// across replays in scratchPool — engine construction, not interval
+// execution, otherwise dominates replay of finely checkpointed
+// recordings. Reuse is observation-equivalent to fresh state
+// (MemSys.Reset, Memory.Restore). A pooled entry records the machine
+// geometry it was built for and is reused only under an identical
+// geometry (latency parameters may differ — the engine re-binds them on
+// reuse).
+//
+// memRec/memAt track what the memory currently holds: checkpoint image
+// memAt of recording memRec, or memUnknown. A bounded interval that
+// passes its end check leaves the memory exactly equal to its stop
+// checkpoint's image — that is what the check proves — so the next
+// interval run on this scratch, always a later one under the segmented
+// driver's work-queue assignment, rolls the memory forward by applying
+// the intervening checkpoint deltas in place instead of restoring a
+// materialized image from scratch.
+type scratch struct {
+	geom scratchGeom
+	ms   *sim.MemSys
+	mem  *mem.Memory
+
+	memRec *Recording
+	memAt  int
+}
+
+// memUnknown marks scratch memory with no provable image identity.
+const memUnknown = -1
+
+// scratchGeom is the part of a machine configuration a pooled cache
+// hierarchy depends on structurally.
+type scratchGeom struct {
+	nprocs, l1b, l1w, l2b, l2w int
+}
+
+// scratchPool holds scratch entries across replays.
+var scratchPool sync.Pool
+
+// scratch takes engine state for r's machine from the pool, building a
+// fresh entry when none with the same geometry is pooled.
+func (r *replayer) scratch() *scratch {
+	c := r.cfg
+	geom := scratchGeom{c.NProcs, c.L1Bytes, c.L1Ways, c.L2Bytes, c.L2Ways}
+	s, _ := scratchPool.Get().(*scratch)
+	if s == nil || s.geom != geom {
+		s = &scratch{geom: geom, ms: sim.NewMemSys(&c), mem: mem.New(), memAt: memUnknown}
+	}
+	return s
 }
 
 // noteDivergence marks a located replay divergence on the trace

@@ -226,3 +226,58 @@ func TestIntervalMatchDiagnosis(t *testing.T) {
 		t.Fatalf("memory-side mismatch misdiagnosed: %+v", m)
 	}
 }
+
+// TestReplayEntryPointsAgreeOnDivergence pins the three replay entry
+// points to one verdict: a PI entry corrupted after the last checkpoint
+// must be reported with the same Kind, Slot, Proc and SeqID by a
+// sequential Replay, a segmented Replay and a ReplayFromCheckpoint of
+// the last checkpoint. Only Interval differs: -1 for the unsegmented
+// replays, k (the final interval) for the segmented one.
+func TestReplayEntryPointsAgreeOnDivergence(t *testing.T) {
+	cfg := testConfig(4, 300)
+	progs := racyProgs(4, 120)
+	rec, _ := record(t, cfg, OrderOnly, progs, nil, RecordOptions{CheckpointEvery: 15})
+	k := len(rec.Checkpoints)
+	if k < 2 {
+		t.Fatalf("setup: only %d checkpoints", k)
+	}
+	pi := rec.PI.Entries()
+	cut := rec.Checkpoints[k-1].Slot
+	slot := cut + (uint64(len(pi))-cut)/2
+	for slot < uint64(len(pi)) && pi[slot] >= rec.NProcs {
+		slot++
+	}
+	if slot >= uint64(len(pi)) {
+		t.Skip("no processor entry after the last checkpoint")
+	}
+	pi[slot] = (pi[slot] + 1) % rec.NProcs
+
+	divOf := func(name string, err error) *DivergenceError {
+		t.Helper()
+		var div *DivergenceError
+		if !errors.As(err, &div) {
+			t.Fatalf("%s of corrupted recording: %v, want *DivergenceError", name, err)
+		}
+		return div
+	}
+	_, err := Replay(rec, ReplayConfig(cfg), progs, ReplayOptions{})
+	seq := divOf("sequential replay", err)
+	_, err = Replay(rec, ReplayConfig(cfg), progs, ReplayOptions{ReplayParallel: 2})
+	seg := divOf("segmented replay", err)
+	_, err = ReplayFromCheckpoint(rec, k-1, ReplayConfig(cfg), progs, ReplayOptions{})
+	ivl := divOf("interval replay", err)
+
+	for _, c := range []struct {
+		name     string
+		div      *DivergenceError
+		interval int
+	}{{"sequential", seq, -1}, {"segmented", seg, k}, {"interval", ivl, -1}} {
+		if c.div.Interval != c.interval {
+			t.Errorf("%s replay: Interval = %d, want %d", c.name, c.div.Interval, c.interval)
+		}
+		if c.div.Kind != seq.Kind || c.div.Slot != seq.Slot || c.div.Proc != seq.Proc || c.div.SeqID != seq.SeqID {
+			t.Errorf("%s replay reports %+v, sequential %+v", c.name, c.div, seq)
+		}
+	}
+	t.Logf("corrupted slot %d: %v", slot, seq)
+}

@@ -462,6 +462,9 @@ func readLegacy(d *reader, r *Recording, version uint16) (*Recording, error) {
 	if d.err != nil {
 		return nil, corrupt("truncated recording: %v", d.err)
 	}
+	if n := d.r.Len(); n != 0 {
+		return nil, corrupt("%d bytes of trailing data after recording body", n)
+	}
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}

@@ -769,7 +769,11 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	if notModified(w, r, e.id) {
+	// The describe payload is immutable only once its persisted flag is
+	// final: a degraded entry's "persisted": false flips when a later put
+	// heals it, so it is served without a validator and never with 304.
+	final := s.store.persistFinal(e)
+	if final && notModified(w, r, e.id) {
 		return
 	}
 	d, ok := e.cachedDesc()
@@ -786,7 +790,9 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		s.store.release(e)
 		d, _ = e.cachedDesc()
 	}
-	setImmutable(w, e.id)
+	if final {
+		setImmutable(w, e.id)
+	}
 	writeJSON(w, http.StatusOK, d)
 }
 

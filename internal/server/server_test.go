@@ -553,6 +553,29 @@ func TestPersistFailureKeepsRecordingServable(t *testing.T) {
 		t.Fatalf("persist failed but response says persisted=true: %s", body)
 	}
 
+	// A degraded entry's describe can still change (a later put may heal
+	// persistence), so it is neither marked immutable nor revalidated
+	// with 304.
+	req, err := http.NewRequest("GET", hs.URL+"/v1/recordings/"+rec.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("If-None-Match", etagFor(rec.ID))
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusOK {
+		t.Fatalf("degraded describe with matching If-None-Match: status %d, want 200", dresp.StatusCode)
+	}
+	if cc := dresp.Header.Get("Cache-Control"); strings.Contains(cc, "immutable") {
+		t.Fatalf("degraded describe sent Cache-Control %q", cc)
+	}
+	if et := dresp.Header.Get("ETag"); et != "" {
+		t.Fatalf("degraded describe sent ETag %q", et)
+	}
+
 	resp, body = doJSON(t, "GET", hs.URL+"/metrics", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: status %d", resp.StatusCode)

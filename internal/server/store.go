@@ -321,7 +321,7 @@ func (st *store) put(rec *delorean.Recording, spec Spec, canonical []byte) (id s
 		st.m[id] = e
 	}
 	st.mu.Unlock()
-	if st.dir == "" || e.persisted.Load() {
+	if st.persistFinal(e) {
 		return id, !exists, nil
 	}
 	e.persistMu.Lock()
@@ -335,6 +335,12 @@ func (st *store) put(rec *delorean.Recording, spec Spec, canonical []byte) (id s
 	}
 	e.persisted.Store(true)
 	return id, !exists, nil
+}
+
+// persistFinal reports whether e's persisted flag can no longer change:
+// a memory-only store never persists, and a persisted entry stays so.
+func (st *store) persistFinal(e *entry) bool {
+	return st.dir == "" || e.persisted.Load()
 }
 
 // persist writes the container and its spec sidecar atomically: each

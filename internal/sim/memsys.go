@@ -89,9 +89,9 @@ func NewMemSys(cfg *Config) *MemSys {
 
 // Reset returns the hierarchy to its post-construction state for reuse
 // under cfg: cold caches, empty directory, zeroed counters, latencies
-// re-bound to cfg. Segmented replay reuses one hierarchy across its
-// per-interval engines — reconstructing tens of thousands of L2 sets
-// per interval dominated replay time — so Reset must be equivalent to
+// re-bound to cfg. Replay reuses pooled hierarchies across its interval
+// engines — reconstructing tens of thousands of L2 sets per interval
+// dominated replay time — so Reset must be equivalent to
 // NewMemSys(cfg). cfg must describe the geometry the hierarchy was
 // built with; a mismatch panics, as cache.New would for a bad geometry.
 func (ms *MemSys) Reset(cfg *Config) {
@@ -272,10 +272,14 @@ func (ms *MemSys) ApplyFill(p int, line uint32, k FillKind) {
 }
 
 // TotalL1Hits returns L1 hits across the classic and speculative paths.
-func (ms *MemSys) TotalL1Hits() uint64 { return ms.total(ms.L1Hits, func(c *procCounters) uint64 { return c.L1Hits }) }
+func (ms *MemSys) TotalL1Hits() uint64 {
+	return ms.total(ms.L1Hits, func(c *procCounters) uint64 { return c.L1Hits })
+}
 
 // TotalL2Hits returns L2 hits across the classic and speculative paths.
-func (ms *MemSys) TotalL2Hits() uint64 { return ms.total(ms.L2Hits, func(c *procCounters) uint64 { return c.L2Hits }) }
+func (ms *MemSys) TotalL2Hits() uint64 {
+	return ms.total(ms.L2Hits, func(c *procCounters) uint64 { return c.L2Hits })
+}
 
 // TotalMemAccesses returns memory accesses across both path families.
 func (ms *MemSys) TotalMemAccesses() uint64 {

@@ -1,11 +1,9 @@
 package delorean
 
 import (
-	"errors"
-	"fmt"
+	"context"
 	"io"
 
-	"delorean/internal/bulksc"
 	"delorean/internal/core"
 	"delorean/internal/trace"
 )
@@ -70,20 +68,12 @@ func (t *ExecTrace) Events() int {
 // the recording run's ExecTrace. The trace is also retained on the
 // Recording (see Trace).
 func RecordTraced(cfg Config, mode Mode, w *Workload) (*Recording, *ExecTrace, error) {
-	m := cfg.machine()
-	sink := trace.NewSink(m.NProcs)
-	memory := w.InitMem()
-	rec, err := core.Record(m, coreMode(mode), w.Progs, memory, w.Devs, core.RecordOptions{
-		StratifyMax:     cfg.Stratify,
-		ExactConflicts:  cfg.ExactConflicts,
-		CheckpointEvery: cfg.CheckpointEvery,
-		Parallel:        cfg.SimParallel,
-		Trace:           sink,
-	})
+	sink := trace.NewSink(cfg.machine().NProcs)
+	rec, err := record(context.TODO(), cfg, mode, w, sink)
 	if err != nil {
-		return nil, nil, fmt.Errorf("delorean: record %s: %w", w.Name, err)
+		return nil, nil, err
 	}
-	return &Recording{rec: rec, cfg: cfg, progs: w.Progs}, &ExecTrace{sink: sink}, nil
+	return rec, &ExecTrace{sink: sink}, nil
 }
 
 // Trace returns the recording run's execution trace when the recording
@@ -105,27 +95,9 @@ func (r *Recording) Trace() *ExecTrace {
 // trace sink, so concurrent traced replays never share event buffers.
 func (r *Recording) ReplayTraced(opts ReplayWith) (ReplayResult, *ExecTrace, error) {
 	sink := trace.NewSink(r.rec.NProcs)
-	ro := core.ReplayOptions{
-		UseStratified:  opts.UseStratified,
-		ExactConflicts: r.cfg.ExactConflicts,
-		Parallel:       r.cfg.SimParallel,
-		ReplayParallel: opts.Parallel,
-		Trace:          sink,
-		Ctx:            opts.Ctx,
-	}
-	if opts.PerturbSeed != 0 {
-		ro.Perturb = bulksc.DefaultPerturb(opts.PerturbSeed)
-	}
-	tr := &ExecTrace{sink: sink}
-	res, err := core.Replay(r.rec, core.ReplayConfig(r.cfg.machine()), r.progs, ro)
+	res, err := r.replay("replay", opts, sink, core.Replay)
 	if err != nil {
-		var div *core.DivergenceError
-		if errors.As(err, &div) {
-			return ReplayResult{Deterministic: false, Stats: execStats(res.Stats),
-				DivergentInterval: div.Interval, Divergence: divergenceInfo(div)}, tr, nil
-		}
-		return ReplayResult{}, nil, fmt.Errorf("delorean: replay: %w", err)
+		return ReplayResult{}, nil, err
 	}
-	return ReplayResult{Deterministic: res.Matches(r.rec), Stats: execStats(res.Stats),
-		DivergentInterval: -1}, tr, nil
+	return res, &ExecTrace{sink: sink}, nil
 }
